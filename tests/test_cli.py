@@ -7,6 +7,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from powex.cli import (
@@ -272,11 +273,21 @@ class TestSimulateVerb:
         assert code == 1
         assert "integer" in err
 
-    def test_budget_refused(self):
+    def test_budget_refused(self, monkeypatch):
         code, _, err = run_cli(["simulate", "--n", "1e5", "--t", "1",
                                 "--reps", "1e6", "--seed", "0"])
         assert code == 1
         assert "budget" in err
+        # inside the draw budget, but a 40 GB output: refused before allocation
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "empty", no_alloc)
+        code, out, err = run_cli(["simulate", "--n", "2", "--t", "1",
+                                  "--reps", "5e9", "--seed", "0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "replicate budget" in err
 
 
 class TestOutputFile:

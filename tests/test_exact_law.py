@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -58,7 +58,10 @@ class TestExactCdf:
            st.floats(min_value=-1.0, max_value=6.0),
            st.floats(min_value=0.01, max_value=1.0))
     def test_monotone_and_bounded(self, log_n, t, x, step):
+        # on the support c*x + d > 0 (c > 0, so x + step is on it too);
+        # test_domain_error_below_support covers the refusal below it
         nc = norming_constants(math.exp(log_n), t)
+        assume(nc.c * x + nc.d > 0.0)
         lo = exact_cdf(nc, x)
         hi = exact_cdf(nc, x + step)
         assert 0.0 <= lo.value <= hi.value <= 1.0

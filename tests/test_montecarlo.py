@@ -40,15 +40,27 @@ class TestSimulate:
             powex.montecarlo._CHUNK_TARGET_DRAWS = original
         assert np.array_equal(whole.values, chunked.values)
 
-    def test_transform_matches_independent_regeneration(self):
-        # regenerate the same Philox stream directly and apply the
-        # normalization by hand
-        nc = norming_constants(50.0, 3.0)
-        sample = simulate_block_maxima(nc, 64, 1234)
-        rng = np.random.Generator(np.random.Philox(key=1234))
-        z = ndtri(rng.random((64, 50)))
-        want = (np.abs(z.max(axis=1)) ** 3.0 - nc.d) / nc.c
-        assert np.array_equal(sample.values, want)
+    @pytest.mark.parametrize("n,t,seed,chunk_draws", [
+        *((n, t, seed, None)
+          for n in (5, 10, 100, 1000)
+          for t in (0.5, 1.0, 2.0, 3.0)
+          for seed in (42, 7, 2 ** 63 + 5)),
+        (1000, 2.0, 2 ** 63 + 5, 3000),  # 3 reps per chunk, 14 chunks
+    ])
+    def test_transform_matches_independent_regeneration(
+            self, monkeypatch, n, t, seed, chunk_draws):
+        # regenerate the same Philox stream directly, push every draw
+        # through ndtri before the row max, and apply the normalization by
+        # hand: the kernel's max-before-ndtri order must give the same bits
+        if chunk_draws is not None:
+            monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", chunk_draws)
+        reps = 40
+        nc = norming_constants(float(n), t)
+        sample = simulate_block_maxima(nc, reps, seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        z = ndtri(rng.random((reps, n)))
+        want = (np.abs(z.max(axis=1)) ** t - nc.d) / nc.c
+        assert sample.values.tobytes() == want.tobytes()
 
     def test_prefix_stability_across_reps(self):
         # extending the replicate count extends the stream, it does not
@@ -76,10 +88,26 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_block_maxima(nc, 10, 2 ** 64)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         nc = norming_constants(1e5, 1.0)
         with pytest.raises(ResourceError):
             simulate_block_maxima(nc, 10 ** 6, 0)  # 1e11 draws
+        # n=2, reps=5e9 fits the draw budget but would need a 40 GB output:
+        # refused before any array is made
+        nc = norming_constants(2.0, 1.0)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", no_alloc)
+            with pytest.raises(ResourceError, match="replicate budget"):
+                simulate_block_maxima(nc, 5 * 10 ** 9, 0)
+        # the cap itself is admitted, one more replicate is not
+        monkeypatch.setattr(powex.montecarlo, "MAX_REPS", 10)
+        assert simulate_block_maxima(nc, 10, 0).reps == 10
+        with pytest.raises(ResourceError, match="replicate budget"):
+            simulate_block_maxima(nc, 11, 0)
 
 
 class TestKsCheck:
