@@ -22,7 +22,7 @@ from .errors import (
     PowexError,
     ResourceError,
 )
-from .exact_law import ExactEvaluation, evaluate, exact_cdf, exact_cdf_values, exact_pdf
+from .exact_law import exact_cdf, exact_cdf_values, exact_pdf
 from .expansions import (
     ApproxOrder,
     Density,
@@ -45,8 +45,8 @@ from .norming import (
 from .special_functions import (
     Probability,
     gumbel_cdf,
-    gumbel_limits,
     gumbel_pdf,
+    mills_series_bound,
     mills_series_survival,
     std_normal_pdf,
     survival,
@@ -60,7 +60,6 @@ __all__ = [
     "Density",
     "DomainError",
     "ErrorCurve",
-    "ExactEvaluation",
     "ExpansionCoefficients",
     "HallCheck",
     "HallRow",
@@ -82,15 +81,14 @@ __all__ = [
     "density_factor_expansion",
     "empirical_cdf",
     "error_curve",
-    "evaluate",
     "exact_cdf",
     "exact_cdf_values",
     "exact_pdf",
     "gumbel_cdf",
-    "gumbel_limits",
     "gumbel_pdf",
     "hall_limit_check",
     "ks_check",
+    "mills_series_bound",
     "mills_series_survival",
     "naive_t2_constants",
     "norming_constants",

@@ -20,8 +20,8 @@ from .exact_law import exact_cdf, exact_pdf
 from .expansions import ApproxOrder, cdf_approx, pdf_approx
 from .montecarlo import ks_check, simulate_block_maxima
 from .norming import norming_constants, solve_b
-from .special_functions import LOG_2PI, gumbel_cdf, mills_series_survival, \
-    std_normal_pdf, survival
+from .special_functions import LOG_2PI, gumbel_cdf, mills_series_bound, \
+    mills_series_survival, survival
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,9 @@ def check_mills_series() -> CheckResult:
     start = time.perf_counter()
     for x in xs:
         exact = survival(x).value
-        a = [1, 1, 3, 15, 105]
         for order in range(4):
             approx = mills_series_survival(x, order).value
-            bound = 2.0 * a[order + 1] * x ** (-2 * (order + 1)) * std_normal_pdf(x) / x
-            worst_ratio = max(worst_ratio, abs(approx - exact) / bound)
+            worst_ratio = max(worst_ratio, abs(approx - exact) / mills_series_bound(x, order))
     elapsed = time.perf_counter() - start
     ok = worst_ratio <= 1.0 and elapsed < 1e-3
     return _result("mills-series", ok, worst_ratio, 1.0,
@@ -91,7 +89,9 @@ def check_hall_limit() -> CheckResult:
                    f"max |final gap|/bound over 16 (t,x); elapsed={elapsed:.3f}s")
 
 
-def _remainder_slopes(target: str, combos: list[tuple[float, float]]) -> tuple[float, bool, str]:
+def _remainder_slope_check(check: str, target: str,
+                           combos: list[tuple[float, float]]) -> CheckResult:
+    start = time.perf_counter()
     grid = [10.0 ** k for k in range(3, 13)]
     worst_dev = 0.0
     ok = True
@@ -103,27 +103,21 @@ def _remainder_slopes(target: str, combos: list[tuple[float, float]]) -> tuple[f
         slopes.append(f"(t={t:g},x={x:g})={fit.slope:.3f}")
         worst_dev = max(worst_dev, abs(fit.slope + 4.0))
         ok = ok and -5.0 <= fit.slope <= -3.0
-    return worst_dev, ok, "slopes " + ", ".join(slopes)
+    elapsed = time.perf_counter() - start
+    return _result(check, ok and elapsed < 1.0, worst_dev, 1.0,
+                   f"max |slope+4|; slopes {', '.join(slopes)}; elapsed={elapsed:.3f}s")
 
 
 def check_cdf_remainder_slope() -> CheckResult:
     """Third-order distribution remainder decays with ln-b slope in [-5, -3]."""
-    start = time.perf_counter()
-    worst, ok, detail = _remainder_slopes(
-        "cdf", [(1.0, 0.0), (1.0, 1.0), (3.0, 0.0), (3.0, 1.0)])
-    elapsed = time.perf_counter() - start
-    return _result("cdf-remainder-slope", ok and elapsed < 1.0, worst, 1.0,
-                   f"max |slope+4|; {detail}; elapsed={elapsed:.3f}s")
+    return _remainder_slope_check("cdf-remainder-slope", "cdf",
+                                  [(1.0, 0.0), (1.0, 1.0), (3.0, 0.0), (3.0, 1.0)])
 
 
 def check_pdf_remainder_slope() -> CheckResult:
     """Density remainder (varpi, tau construction) slope in [-5, -3]."""
-    start = time.perf_counter()
-    worst, ok, detail = _remainder_slopes(
-        "pdf", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
-    elapsed = time.perf_counter() - start
-    return _result("pdf-remainder-slope", ok and elapsed < 1.0, worst, 1.0,
-                   f"max |slope+4|; {detail}; elapsed={elapsed:.3f}s")
+    return _remainder_slope_check("pdf-remainder-slope", "pdf",
+                                  [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
 
 
 def check_order_improvement() -> CheckResult:
@@ -137,15 +131,10 @@ def check_order_improvement() -> CheckResult:
     for t in (1.0, 2.0):
         nc = norming_constants(1e6, t)
         for target in ("cdf", "pdf"):
-            sups = []
-            for order in orders:
-                if target == "cdf":
-                    sup = max(abs(cdf_approx(nc, x, order).value
-                                  - exact_cdf(nc, x).value) for x in xs)
-                else:
-                    sup = max(abs(pdf_approx(nc, x, order).value
-                                  - exact_pdf(nc, x)) for x in xs)
-                sups.append(sup)
+            approx = cdf_approx if target == "cdf" else pdf_approx
+            sups = [max(abs(approx(nc, x, order).value
+                            - approx(nc, x, ApproxOrder.EXACT).value) for x in xs)
+                    for order in orders]
             for a, b in zip(sups, sups[1:]):
                 worst_ratio = max(worst_ratio, b / a)
             details.append(f"t={t:g} {target}: "

@@ -17,13 +17,12 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .convergence_lab import Scaling, default_n_grid, error_curve, rate_fit
+from .convergence_lab import MAX_GRID_POINTS, Scaling, default_n_grid, error_curve, rate_fit
 from .errors import InsufficientDataError, InternalError, PowexError
-from .exact_law import exact_cdf, exact_pdf
 from .expansions import ApproxOrder, cdf_approx, pdf_approx
 from .montecarlo import simulate_block_maxima
 from .norming import norming_constants
-from .special_functions import mills_series_survival, std_normal_pdf, survival
+from .special_functions import mills_series_bound, mills_series_survival, survival
 
 # default significant digits: residual-like columns vs norming constants
 PRECISION_RESIDUALS = 12
@@ -93,7 +92,7 @@ def _parse_float(text: str) -> float:
 
 def parse_grid(text: str) -> list[float]:
     """A single value, or start:stop:step with inclusive endpoints
-    (within half a step)."""
+    (within half a step), of at most ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) == 1:
         return [_parse_float(parts[0])]
@@ -106,8 +105,10 @@ def parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid step must be > 0, got {step}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"grid stop {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 0.5))
-    return [start + i * step for i in range(count + 1)]
+    steps = (stop - start) / step + 0.5
+    if not steps < MAX_GRID_POINTS:  # inf and nan too
+        raise argparse.ArgumentTypeError(f"grid exceeds the {MAX_GRID_POINTS:.0e} point budget")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def parse_n_grid(text: str) -> list[float]:
@@ -245,17 +246,9 @@ def _cmd_norming(args: argparse.Namespace) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> str:
     nc = norming_constants(args.n, args.t)
-    orders = args.orders or [ApproxOrder.LIMIT, ApproxOrder.SECOND,
-                             ApproxOrder.THIRD, ApproxOrder.EXACT]
-    rows = []
-    for x in args.x:
-        row = [x]
-        for order in orders:
-            if args.target == "cdf":
-                row.append(cdf_approx(nc, x, order).value)
-            else:
-                row.append(pdf_approx(nc, x, order).value)
-        rows.append(row)
+    orders = args.orders or list(ApproxOrder)
+    approx = cdf_approx if args.target == "cdf" else pdf_approx
+    rows = [[x] + [approx(nc, x, order).value for order in orders] for x in args.x]
     schema = ["x"] + [o.value for o in orders]
     return emit_table(rows, schema, args.format, args.precision)
 
@@ -282,13 +275,8 @@ def _cmd_mills(args: argparse.Namespace) -> str:
     for x in args.x:
         series = mills_series_survival(x, args.order)
         exact = survival(x)
-        # envelope: twice the first omitted term of the alternating series
-        a_next = 1
-        for k in range(args.order + 1):
-            a_next *= 2 * k + 1
-        bound = 2.0 * a_next * x ** (-2 * (args.order + 1)) * std_normal_pdf(x) / x
-        rows.append([x, series.value, exact.value,
-                     abs(series.value - exact.value), bound])
+        rows.append([x, series.value, exact.value, abs(series.value - exact.value),
+                     mills_series_bound(x, args.order)])
     return emit_table(rows, ["x", "series", "survival", "abs_error", "bound"],
                       args.format, args.precision)
 

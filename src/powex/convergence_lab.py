@@ -14,16 +14,19 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, ResourceError
 from .exact_law import exact_cdf, exact_pdf
 from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
-from .norming import NormingConstants, PowerIndex, norming_constants, solve_b
+from .norming import NormingConstants, PowerIndex, norming_constants, solve_b, transformed_quantile
 from .special_functions import gumbel_cdf, gumbel_pdf
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
 
 MIN_GRID_N = 100.0
+
+# Hard budget on the points of a START:STOP:STEP or START:STOP:FACTOR grid
+MAX_GRID_POINTS = 10 ** 6
 
 
 class Scaling(enum.Enum):
@@ -94,7 +97,8 @@ class HallCheck:
     passed: bool
 
 
-def _check_grid(n_grid: Sequence[float]) -> list[float]:
+def _grid_constants(t: float, x: float, n_grid: Sequence[float]) -> list[NormingConstants]:
+    """Norming constants along an ascending n-grid that keeps x on the support."""
     grid = [float(n) for n in n_grid]
     if not grid:
         raise DomainError("n_grid must be non-empty")
@@ -102,32 +106,22 @@ def _check_grid(n_grid: Sequence[float]) -> list[float]:
         raise DomainError(f"all grid points must be >= {MIN_GRID_N:g}, got {min(grid)}")
     if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
         raise DomainError("n_grid must be strictly ascending")
-    return grid
-
-
-def _constants_for(t: float, x: float, grid: list[float]) -> list[NormingConstants]:
-    ncs = []
-    for n in grid:
-        nc = norming_constants(n, t)
-        if nc.c * x + nc.d <= 0.0:
-            raise DomainError(
-                f"x={x} is outside the support at grid point n={n:g} "
-                f"(boundary x_min={-nc.d / nc.c!r})",
-                x_min=-nc.d / nc.c,
-            )
-        ncs.append(nc)
+    ncs = [norming_constants(n, t) for n in grid]
+    for nc in ncs:
+        try:
+            transformed_quantile(nc, x)  # the support check, with x_min
+        except DomainError as exc:
+            raise DomainError(f"{exc} at grid point n={nc.n:g}", x_min=exc.x_min) from None
     return ncs
 
 
 def _scaled_gap_terms(nc: NormingConstants, x: float, target: str) -> tuple[float, float, float]:
     """(scaled error, first coefficient, second coefficient) at one grid point."""
-    u = nc.b_squared
-    scale = u * u if nc.is_two else u
     co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
     if target == "cdf":
-        err = scale * (exact_cdf(nc, x).value - gumbel_cdf(x).value) / gumbel_pdf(x)
+        err = nc.error_scale * (exact_cdf(nc, x).value - gumbel_cdf(x).value) / gumbel_pdf(x)
         return err, co.k1, co.k2
-    err = scale * (exact_pdf(nc, x) / gumbel_pdf(x) - 1.0)
+    err = nc.error_scale * (exact_pdf(nc, x) / gumbel_pdf(x) - 1.0)
     return err, co.varpi, co.tau
 
 
@@ -146,10 +140,9 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     scaling = Scaling(scaling)
     if scaling is Scaling.HALL_SCALED and target != "cdf":
         raise DomainError("hall_scaled applies to the distribution only")
-    grid = _check_grid(n_grid)
     x = float(x)
     rows = []
-    for nc in _constants_for(t, x, grid):
+    for nc in _grid_constants(t, x, n_grid):
         if scaling is Scaling.RAW:
             if target == "cdf":
                 res = cdf_approx(nc, x, order).unclamped - exact_cdf(nc, x).value
@@ -206,20 +199,17 @@ def hall_limit_check(t: float, x: float, n_grid: Sequence[float]) -> HallCheck:
     zero) and the final |gap| to satisfy 1.5*|k2|/b^2 + 10/b^4, the slack
     covering the unprinted b^-4 coefficient.
     """
-    grid = _check_grid(n_grid)
     x = float(x)
     rows = []
-    for nc in _constants_for(t, x, grid):
+    for nc in _grid_constants(t, x, n_grid):
         err, k1, k2 = _scaled_gap_terms(nc, x, "cdf")
         rows.append(HallRow(n=nc.n, scaled_error=err, k1_target=k1, gap=err - k1))
     decreasing = all(
         abs(b.gap) < abs(a.gap) or (abs(a.gap) < GAP_TOLERANCE and abs(b.gap) < GAP_TOLERANCE)
         for a, b in zip(rows, rows[1:])
     )
-    nc_last = norming_constants(grid[-1], t)
-    u = nc_last.b_squared
-    co = coefficients(PowerIndex(t=nc_last.t, is_two=nc_last.is_two), x)
-    bound = 1.5 * abs(co.k2) / u + 10.0 / (u * u)
+    u = nc.b_squared  # nc and k2 are the last grid point's
+    bound = 1.5 * abs(k2) / u + 10.0 / (u * u)
     final_gap = rows[-1].gap
     passed = decreasing and abs(final_gap) <= bound
     return HallCheck(t=float(t), x=x, rows=tuple(rows),
@@ -240,13 +230,14 @@ def naive_t2_constants(n: float) -> NormingConstants:
 
 
 def default_n_grid(start: float = 1e3, stop: float = 1e12, factor: float = 10.0) -> list[float]:
-    """Geometric grid from start to stop inclusive; near-uniform in ln(b)."""
-    if not (start > 0 and stop >= start and factor > 1):
-        raise DomainError("need 0 < start <= stop and factor > 1")
-    grid = []
-    n = start
+    """Geometric grid, start to stop inclusive, near-uniform in ln(b); at most MAX_GRID_POINTS."""
+    if not (0 < start <= stop < math.inf and 1 < factor < math.inf):
+        raise DomainError("need 0 < start <= stop < inf and 1 < factor < inf")
     # half-step tolerance on the inclusive endpoint, in log space
-    while n <= stop * math.sqrt(factor):
-        grid.append(n)
-        n *= factor
+    steps = math.log(stop / start) / math.log(factor) + 0.5
+    if steps >= MAX_GRID_POINTS:
+        raise ResourceError(f"n-grid exceeds the {MAX_GRID_POINTS:.0e} point budget")
+    grid = [start]
+    for _ in range(int(steps)):
+        grid.append(grid[-1] * factor)
     return grid

@@ -8,56 +8,77 @@ For X_1..X_n i.i.d. standard normal, M_n their maximum and g(x) =
 and density n * phi(g) * g'(x) * (Phi^{n-1}(g) + (1 - Phi(g))^{n-1}).
 Everything is evaluated in log-domain: Phi^n at n = 1e12 is meaningless in
 naive arithmetic. This module is the ground-truth oracle for all expansions.
+
+log F_n = n*log(Phi) + log(1 - e^delta) with delta = n*log((1 - Phi)/Phi).
+In the bulk delta is a difference of two log_ndtr values and the last term
+log1p(-e^delta). Near x_min = -d/c both logs tend to -ln 2 and cancel, so
+where delta > -ln 2 it is -2n*atanh(erf(g/sqrt(2))) and the last term
+log(-expm1(delta)) (Maechler, "Accurately computing log(1 - exp(-|a|))",
+2012); F_n = 0 where g underflows. One kernel serves the scalar API, on
+Python floats through ``math``, and the array path, through numpy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import erf, log_ndtr
 
 from .norming import NormingConstants, transformed_quantile
 from .special_functions import LOG_2PI, Probability, _require_finite
 
-
-@dataclass(frozen=True)
-class ExactEvaluation:
-    """One point of the exact law: distribution, density, the transformed
-    quantile g, and the log of the (1 - Phi(g))^n term for diagnostics."""
-
-    x: float
-    cdf: Probability
-    pdf: float
-    g: float
-    tail_term_log: float
+_LN2 = math.log(2.0)
 
 
-def _log_cdf_parts(nc: NormingConstants, g: float) -> tuple[float, float]:
-    """(log F_n, n * log(1 - Phi(g))), the latter being the tail term.
+# The kernel's arithmetic: Python floats through math, or numpy arrays
+class _ScalarOps:
+    exp, expm1, log1p, atanh, erf = math.exp, math.expm1, math.log1p, math.atanh, math.erf
+    log_ndtr, native = log_ndtr, float  # log_ndtr returns numpy scalars
+    log = staticmethod(lambda v: math.log(v) if v > 0.0 else -math.inf)
 
-    g > 0 always (it is a positive real power), so Phi(g) > 1 - Phi(g) and
-    log(Phi^n - (1-Phi)^n) = n*log(Phi) + log1p(-exp(n*(log(1-Phi) - log(Phi))))
-    is well-defined and cancellation-free.
-    """
-    n = nc.n
-    log_phi = float(log_ndtr(g))
-    log_surv = float(log_ndtr(-g))
-    tail_log = n * log_surv
-    delta = n * (log_surv - log_phi)
-    log_cdf = n * log_phi + math.log1p(-math.exp(delta))
-    return log_cdf, tail_log
+    @classmethod
+    def branch(cls, cond, if_true, if_false, *args):
+        return (if_true if cond else if_false)(cls, *args)
+
+
+class _ArrayOps:
+    exp, expm1, log1p, atanh, log = np.exp, np.expm1, np.log1p, np.arctanh, np.log
+    erf, log_ndtr, native = erf, log_ndtr, np.asarray
+
+    @classmethod
+    def branch(cls, cond, if_true, if_false, *args):
+        with np.errstate(divide="ignore"):  # log 0 = -inf: overwritten, or F = 0
+            out = if_false(cls, *args)
+            if cond.any():
+                out[cond] = if_true(cls, *(a[cond] if np.ndim(a) else a for a in args))
+        return out
+
+
+def _log_cdf(ops, n: float, g):
+    """log F_n at transformed quantiles g > 0, in the arithmetic of ``ops``."""
+    log_phi = ops.native(ops.log_ndtr(g))
+    delta = n * (ops.native(ops.log_ndtr(-g)) - log_phi)
+    return ops.branch(delta > -_LN2, _log_cdf_boundary, _log_cdf_bulk, n, g, log_phi, delta)
+
+
+def _log_cdf_bulk(ops, n, g, log_phi, delta):
+    return n * log_phi + ops.log1p(-ops.exp(delta))
+
+
+def _log_cdf_boundary(ops, n, g, log_phi, delta):
+    # delta = 0 only where g underflows; log 0 = -inf there
+    delta = -2.0 * n * ops.atanh(ops.erf(g / math.sqrt(2.0)))
+    return n * log_phi + ops.log(-ops.expm1(delta))
 
 
 def exact_cdf(nc: NormingConstants, x: float) -> Probability:
     """F_n(x) = Phi^n(g) - (1 - Phi(g))^n, both factors in log-domain.
 
     Each exponential is accurate to well under 1e-13 relative for n up to
-    1e14. Requires c*x + d > 0.
+    1e14, up to the support boundary. Requires c*x + d > 0.
     """
     x = _require_finite(x)
-    g = transformed_quantile(nc, x).g
-    log_cdf, _ = _log_cdf_parts(nc, g)
+    log_cdf = _log_cdf(_ScalarOps, nc.n, transformed_quantile(nc, x).g)
     return Probability(value=math.exp(log_cdf), log_value=log_cdf)
 
 
@@ -74,22 +95,9 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     log_phi = float(log_ndtr(g))
     log_surv = float(log_ndtr(-g))
     log_pair = float(np.logaddexp((n - 1.0) * log_phi, (n - 1.0) * log_surv))
-    log_pdf = math.log(n) + math.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
+    # g' underflows to 0 next to the boundary when t is small
+    log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0
-
-
-def evaluate(nc: NormingConstants, x: float) -> ExactEvaluation:
-    """Distribution, density, g, and tail-term log at a single point."""
-    x = _require_finite(x)
-    g = transformed_quantile(nc, x).g
-    log_cdf, tail_log = _log_cdf_parts(nc, g)
-    return ExactEvaluation(
-        x=x,
-        cdf=Probability(value=math.exp(log_cdf), log_value=log_cdf),
-        pdf=exact_pdf(nc, x),
-        g=g,
-        tail_term_log=tail_log,
-    )
 
 
 def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
@@ -103,11 +111,5 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     arg = nc.c * xs + nc.d
     out = np.zeros(xs.shape)
     ok = arg > 0.0
-    if np.any(ok):
-        g = arg[ok] ** (1.0 / nc.t)
-        n = nc.n
-        log_phi = log_ndtr(g)
-        log_surv = log_ndtr(-g)
-        delta = n * (log_surv - log_phi)
-        out[ok] = np.exp(n * log_phi + np.log1p(-np.exp(delta)))
+    out[ok] = np.exp(_log_cdf(_ArrayOps, nc.n, arg[ok] ** (1.0 / nc.t)))
     return out

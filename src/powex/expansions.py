@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from . import exact_law
-from .errors import DomainError
 from .norming import NormingConstants, PowerIndex, transformed_quantile
 from .special_functions import Probability, _require_finite, gumbel_cdf, gumbel_pdf
 
@@ -49,18 +48,33 @@ class ExpansionCoefficients:
     is_two: bool
 
 
+def _density_factor_terms(p: PowerIndex, x: float) -> tuple[float, float]:
+    """Density factor n * d/dx Phi(g) = e^{-x}(1 + m1/b^2 + m2/b^4 + ...): (h, m2),
+    m1 = x*h; at t = 2 e^{-x}(1 + p1/b^4 - p2/b^6 + ...): (p1, p2) =
+    (1/2 + x + x^2, 1/3 + 2x + 2x^2 + (4/3)x^3)."""
+    if p.is_two:
+        return 0.5 + x + x * x, 1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3
+    tv = p.t
+    h = 1.0 - tv + 0.5 * (tv - 2.0) * x
+    m2 = x * x * ((1.0 - tv) * (1.0 - 2.0 * tv) / 2.0
+                  + 5.0 * (1.0 - tv) * (tv - 2.0) / 6.0 * x
+                  + (tv - 2.0) ** 2 / 8.0 * x * x)
+    return h, m2
+
+
 def coefficients(t: float | PowerIndex, x: float) -> ExpansionCoefficients:
     """Evaluate k1, k2, varpi, tau, theta1, theta2 at (t, x)."""
     p = PowerIndex.of(t)
     x = _require_finite(x)
     emx = math.exp(-x)
+    first, second = _density_factor_terms(p, x)
     if p.is_two:
         theta1 = 3.5 + 3.0 * x + x * x
         theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
         k1 = -theta1
         k2 = theta2
-        varpi = 0.5 + x + x * x - emx * theta1
-        tau = emx * theta2 - (1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3)
+        varpi = first - emx * theta1
+        tau = emx * theta2 - second
         return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
                                      theta1=theta1, theta2=theta2, is_two=True)
     tv = p.t
@@ -70,21 +84,10 @@ def coefficients(t: float | PowerIndex, x: float) -> ExpansionCoefficients:
               + (tv - 2.0) ** 2 / 8.0 * x ** 4)
     k1 = theta1
     k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
-    m1 = x * (1.0 - tv + 0.5 * (tv - 2.0) * x)
-    m2 = x * x * ((1.0 - tv) * (1.0 - 2.0 * tv) / 2.0
-                  + 5.0 * (1.0 - tv) * (tv - 2.0) / 6.0 * x
-                  + (tv - 2.0) ** 2 / 8.0 * x * x)
-    varpi = m1 + emx * theta1
-    tau = x * emx * (1.0 - tv + 0.5 * (tv - 2.0) * x) * theta1 + m2 \
-        - emx * (theta2 - 0.5 * emx * theta1 * theta1)
+    varpi = x * first + emx * theta1
+    tau = x * emx * first * theta1 + second - emx * (theta2 - 0.5 * emx * theta1 * theta1)
     return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
                                  theta1=theta1, theta2=theta2, is_two=False)
-
-
-def _scale_factor(nc: NormingConstants) -> float:
-    # B = b^(-2-2*[t=2]): the error scale jumps from b^-2 to b^-4 at t = 2
-    u = nc.b_squared
-    return 1.0 / (u * u) if nc.is_two else 1.0 / u
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:
@@ -104,13 +107,7 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
         return lam
     co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
     correction = co.k1 if order is ApproxOrder.SECOND else co.k1 + co.k2 / nc.b_squared
-    raw = lam.value + _scale_factor(nc) * gumbel_pdf(x) * correction
-    if 0.0 <= raw <= 1.0:
-        return Probability(value=raw, log_value=math.log(raw) if raw > 0.0 else -math.inf)
-    value = min(max(raw, 0.0), 1.0)
-    return Probability(value=value,
-                       log_value=math.log(value) if value > 0.0 else -math.inf,
-                       clamped=True, raw=raw)
+    return Probability.from_raw(lam.value + 1.0 / nc.error_scale * gumbel_pdf(x) * correction)
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
         return Density(value=lam_pdf)
     co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
     correction = co.varpi if order is ApproxOrder.SECOND else co.varpi + co.tau / nc.b_squared
-    raw = lam_pdf * (1.0 + _scale_factor(nc) * correction)
+    raw = lam_pdf * (1.0 + 1.0 / nc.error_scale * correction)
     if raw >= 0.0:
         return Density(value=raw)
     return Density(value=0.0, floored=True, raw=raw)
@@ -176,12 +173,7 @@ def density_factor_expansion(nc: NormingConstants, x: float) -> float:
     u = nc.b_squared
     x = float(x)
     emx = math.exp(-x)
+    first, second = _density_factor_terms(PowerIndex(t=nc.t, is_two=nc.is_two), x)
     if nc.is_two:
-        return emx * (1.0 + (0.5 + x + x * x) / (u * u)
-                      - (1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3) / u ** 3)
-    tv = nc.t
-    m1 = x * (1.0 - tv + 0.5 * (tv - 2.0) * x)
-    m2 = x * x * ((1.0 - tv) * (1.0 - 2.0 * tv) / 2.0
-                  + 5.0 * (1.0 - tv) * (tv - 2.0) / 6.0 * x
-                  + (tv - 2.0) ** 2 / 8.0 * x * x)
-    return emx * (1.0 + m1 / u + m2 / (u * u))
+        return emx * (1.0 + first / (u * u) - second / u ** 3)
+    return emx * (1.0 + x * first / u + second / (u * u))

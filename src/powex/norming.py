@@ -69,6 +69,12 @@ class NormingConstants:
     def b_squared(self) -> float:
         return self.b * self.b
 
+    @property
+    def error_scale(self) -> float:
+        """b^(2+2*[t=2]): the expansions' corrections are O(1/error_scale)."""
+        u = self.b_squared
+        return u * u if self.is_two else u
+
 
 def solve_b(n: float) -> float:
     """Solve 2*pi*b^2*exp(b^2) = n^2 for b > 0.

@@ -38,6 +38,15 @@ class Probability:
     clamped: bool = False
     raw: float | None = None
 
+    @classmethod
+    def from_raw(cls, raw: float) -> Probability:
+        """``raw`` clamped to [0, 1]; flagged and retained when out of range."""
+        if 0.0 <= raw <= 1.0:
+            return cls(value=raw, log_value=math.log(raw) if raw > 0.0 else -math.inf)
+        value = min(max(raw, 0.0), 1.0)
+        return cls(value=value, log_value=math.log(value) if value > 0.0 else -math.inf,
+                   clamped=True, raw=raw)
+
     @property
     def unclamped(self) -> float:
         """The producer's raw number before any clamping."""
@@ -72,12 +81,19 @@ def survival(x: float) -> Probability:
     return Probability(value=float(ndtr(-x)), log_value=float(log_ndtr(-x)))
 
 
-def _mills_coefficients(order: int) -> list[int]:
+def _mills_coefficients(x: float, order: int) -> tuple[float, list[int]]:
+    """The checked x and a_0, ..., a_{order+1}: the series' and the bound's."""
+    x = _require_finite(x)
+    if x < 2.0:
+        raise DomainError(f"mills series requires x >= 2, got {x}")
+    order = int(order)
+    if order < 0 or order > MAX_SERIES_ORDER:
+        raise DomainError(f"series order must be in [0, {MAX_SERIES_ORDER}], got {order}")
     # a_k = (2k)! / (2^k k!) = 1, 1, 3, 15, 105, ... via a_{k+1} = (2k+1) a_k
     a = [1]
-    for k in range(order):
+    for k in range(order + 1):
         a.append(a[-1] * (2 * k + 1))
-    return a
+    return x, a
 
 
 def mills_series_survival(x: float, order: int) -> Probability:
@@ -97,26 +113,20 @@ def mills_series_survival(x: float, order: int) -> Probability:
         Number of correction terms beyond the leading one (L in the series
         bound), 0 <= order <= 12.
     """
-    x = _require_finite(x)
-    if x < 2.0:
-        raise DomainError(f"mills series requires x >= 2, got {x}")
-    order = int(order)
-    if order < 0 or order > MAX_SERIES_ORDER:
-        raise DomainError(f"series order must be in [0, {MAX_SERIES_ORDER}], got {order}")
-    a = _mills_coefficients(order)
+    x, a = _mills_coefficients(x, order)
     inv_x2 = 1.0 / (x * x)
     total = 0.0
     power = 1.0
-    for k, ak in enumerate(a):
+    for k, ak in enumerate(a[:-1]):
         total += (-1 if k % 2 else 1) * ak * power
         power *= inv_x2
-    raw = std_normal_pdf(x) / x * total
-    if 0.0 <= raw <= 1.0:
-        log_value = math.log(raw) if raw > 0.0 else -math.inf
-        return Probability(value=raw, log_value=log_value)
-    value = min(max(raw, 0.0), 1.0)
-    log_value = math.log(value) if value > 0.0 else -math.inf
-    return Probability(value=value, log_value=log_value, clamped=True, raw=raw)
+    return Probability.from_raw(std_normal_pdf(x) / x * total)
+
+
+def mills_series_bound(x: float, order: int) -> float:
+    """Error envelope 2*a_{L+1}*x^{-2(L+1)}*phi(x)/x of mills_series_survival(x, L)."""
+    x, a = _mills_coefficients(x, order)
+    return 2.0 * a[-1] * x ** (-2 * (len(a) - 1)) * std_normal_pdf(x) / x
 
 
 def gumbel_cdf(x: float) -> Probability:
@@ -134,8 +144,3 @@ def gumbel_pdf(x: float) -> float:
     # single exp avoids the 0 * inf indeterminate far in the left tail
     neg_exp = math.exp(-x) if x > -709.0 else math.inf
     return math.exp(-x - neg_exp) if neg_exp != math.inf else 0.0
-
-
-def gumbel_limits(x: float) -> tuple[Probability, float]:
-    """The Gumbel limit pair (Lambda(x), Lambda'(x))."""
-    return gumbel_cdf(x), gumbel_pdf(x)

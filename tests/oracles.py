@@ -94,6 +94,18 @@ def hp_exact_cdf(n, t, x) -> mp.mpf:
     return (1 - s) ** n - s ** n
 
 
+def hp_exact_cdf_at_g(n, g) -> mp.mpf:
+    """Phi^n(g) - (1 - Phi(g))^n at a given transformed quantile g.
+
+    Near the support boundary the float64 g carries the conditioning of
+    c*x + d, so boundary tests compare the library with this at the same g.
+    """
+    with mp.workdps(2 * mp.mp.dps):
+        n = mp.mpf(n)
+        s = hp_survival(mp.mpf(g))
+        return +((1 - s) ** n - s ** n)
+
+
 def hp_exact_pdf(n, t, x) -> mp.mpf:
     """n phi(g) g'(x) (Phi^{n-1}(g) + (1 - Phi(g))^{n-1}) via the oracle."""
     n = mp.mpf(n)

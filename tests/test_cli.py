@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from powex import cli, convergence_lab, norming_constants, transformed_quantile
 from powex.cli import (
     _merge_negative_args,
     emit_table,
@@ -83,6 +85,43 @@ class TestGridParsing:
             parse_n_grid("1e6:1e3:10")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_n_grid("1e3:1e6:1")
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        # a refused grid must not start building: range() is never reached
+        def refuse(*args):
+            raise AssertionError("grid built before the budget check")
+
+        for module in (cli, convergence_lab):
+            monkeypatch.setattr(module, "range", refuse, raising=False)
+
+    def test_budget_refused_before_building(self, no_build):
+        for bad in ("0:1e6:1e-9", "0:inf:1", "-inf:0:1"):
+            with pytest.raises(argparse.ArgumentTypeError, match="point budget"):
+                parse_grid(bad)
+        for bad in ("1e3:1e300:1.0000001", "1e-300:1e300:10"):
+            with pytest.raises(argparse.ArgumentTypeError, match="point budget"):
+                parse_n_grid(bad)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        assert parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(argparse.ArgumentTypeError, match="point budget"):
+            parse_grid("0:5:1")
+        monkeypatch.setattr(convergence_lab, "MAX_GRID_POINTS", 3)
+        assert parse_n_grid("1e3:1e5:10") == [1e3, 1e4, 1e5]
+        with pytest.raises(argparse.ArgumentTypeError, match="point budget"):
+            parse_n_grid("1e3:1e6:10")
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--n", "10", "--t", "1", "--x=0:1e6:1e-9"],
+        ["rates", "--t", "1", "--x", "0", "--n-grid", "1e3:1e300:1.0000001"],
+    ])
+    def test_budget_is_a_usage_error(self, no_build, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert "point budget" in err.strip().split("\n")[-1]
 
     def test_merge_negative_args(self):
         assert _merge_negative_args(["--x", "-1:4:0.25"]) == ["--x=-1:4:0.25"]
@@ -191,6 +230,18 @@ class TestTableVerb:
         row = json.loads(out)[0]
         nc = norming_constants(1000.0, 1.0)
         assert row["third"] == cdf_approx(nc, 0.0, ApproxOrder.THIRD).value
+
+    def test_next_to_the_support_boundary(self):
+        # once a bare math domain error with a traceback; 2.35e-26 is the
+        # oracle's value at the same g
+        x = -4.09926514892
+        code, out, err = run_cli(["table", "--n", "10", "--t", "0.5", f"--x={x}",
+                                  "--orders", "exact"])
+        assert (code, err) == (0, "")
+        assert out == "x,exact\n-4.09926514892,2.35133708923e-26\n"
+        g = transformed_quantile(norming_constants(10.0, 0.5), x).g
+        want = float(oracles.hp_exact_cdf_at_g(10.0, g))
+        assert abs(float(out.split(",")[-1]) - want) < 5e-12 * want
 
     def test_out_of_support_x(self):
         code, _, err = run_cli(["table", "--n", "1000", "--t", "2", "--x=-20"])
@@ -308,3 +359,88 @@ class TestDeterminism:
     ])
     def test_repeat_invocations_identical(self, argv):
         assert run_cli(argv) == run_cli(argv)
+
+
+# Full-precision stdout of table/rates in JSON, frozen from the release
+# before the numeric core was consolidated. JSON prints repr floats, so
+# these catch a 1-ulp drift that the 12-digit CSV bytes would hide.
+TABLE_CDF_ROWS = [
+    (-1.0, 0.06598803584531254, 0.06994388397183789, 0.06966987297778365, 0.0697185938269586),
+    (-0.75, 0.12039226207982957, 0.1263643789908967, 0.12580724296953222, 0.12590133333381145),
+    (-0.5, 0.1922956455479649, 0.20103554889950984, 0.20011141620253353, 0.20026516082899307),
+    (-0.25, 0.27692033409990896, 0.2891729387239103, 0.2878277834739242, 0.288050705356052),
+    (0.0, 0.36787944117144233, 0.3841055894356314, 0.38231636273507796, 0.38261283459664985),
+    (0.25, 0.4589560693076638, 0.47915560083070774, 0.4769215016473775, 0.477291639678385),
+    (0.5, 0.545239211892605, 0.5689422015826766, 0.5662757599052022, 0.5667167643398571),
+    (0.75, 0.6235249162568004, 0.6499129026503805, 0.6468360479164257, 0.6473434764805387),
+    (1.0, 0.6922006275553464, 0.7202800025835407, 0.7168243902153814, 0.717393100352046),
+    (1.25, 0.7508834766393948, 0.7796466052466317, 0.7758550712839118, 0.7764797386803423),
+    (1.5, 0.8000107130043536, 0.8285518987942384, 0.8244786101234829, 0.8251538718318997),
+    (1.75, 0.8404868737475784, 0.8680669906481197, 0.8637755256165908, 0.8644958853518515),
+    (2.0, 0.8734230184931167, 0.8994914916864554, 0.8950513201064706, 0.8958109710950173),
+    (2.25, 0.8999651626606278, 0.9241528745030155, 0.9196351732040638, 0.9204278568536367),
+    (2.5, 0.9211936551755158, 0.9432894962607267, 0.9387631581421928, 0.9395821193037223),
+    (2.75, 0.9380726685202482, 0.9579933248692506, 0.9535217129205555, 0.9543597621234045),
+    (3.0, 0.9514319929004534, 0.9691911828665174, 0.9648298623360382, 0.9656795239014919),
+    (3.25, 0.96196788944221, 0.9776485116750617, 0.9734439588674216, 0.9742976709435868),
+    (3.5, 0.9702540025910624, 0.9839847322636321, 0.9799738833539382, 0.9808242159666032),
+    (3.75, 0.9767566411323356, 0.9886933158541849, 0.9849037638215606, 0.985743627755612),
+    (4.0, 0.9818510730616665, 0.9921625521570535, 0.9886131962115691, 0.9894360243059592),
+]
+
+TABLE_PDF_ROWS = [
+    (-1.0, 0.1793740787340172, 0.18617134068596947, 0.1852329769447956, 0.18538154244976926),
+    (-0.75, 0.2548704208230367, 0.2643516834700607, 0.2630349991445343, 0.26324770717859386),
+    (-0.5, 0.31704192107794216, 0.3297036049671886, 0.328105340072066, 0.3283665435336682),
+    (-0.25, 0.35557274738194417, 0.37081529895482757, 0.3690667380646602, 0.3693554347198163),
+    (0.0, 0.36787944117144233, 0.38410558943563144, 0.38231636273507796, 0.3826132021850964),
+    (0.25, 0.3574353461721825, 0.37267408563944254, 0.370912823571301, 0.37120337620422633),
+    (0.5, 0.3307042988904181, 0.3432575819650627, 0.3415660656802952, 0.3418413728972669),
+    (0.75, 0.29453231524035467, 0.30334339621390966, 0.30175802755751696, 0.30201367617489394),
+    (1.0, 0.2546463800435825, 0.2593603298317591, 0.257923196225917, 0.25815770493652185),
+    (1.25, 0.2151317179402431, 0.21595931478283106, 0.21471677959191185, 0.21492991919170246),
+    (1.5, 0.17850651851312094, 0.1760173084861763, 0.17501219098577636, 0.17520372207052823),
+    (1.75, 0.14605471846945312, 0.14098300277089812, 0.14024668002851157, 0.1404157231849282),
+    (2.0, 0.11820495159314313, 0.1113055465189742, 0.11085333872346885, 0.11099831744437424),
+    (2.25, 0.09485563027712225, 0.08681470089392002, 0.08664509548556665, 0.08676403958633161),
+    (2.5, 0.07561617991742652, 0.06700735045287214, 0.06710410724057372, 0.06719508785050717),
+    (2.75, 0.05996897935496824, 0.05124080697214277, 0.051576594693105784, 0.051638124157877774),
+    (3.0, 0.04736900967790791, 0.038851263583225305, 0.039391691432551806, 0.03942300229014334),
+    (3.25, 0.03729954287267523, 0.029218939504777476, 0.029926250147490584, 0.029927431992886572),
+    (3.5, 0.029299132133281516, 0.021798402430626224, 0.02263446425914482, 0.022606475796979646),
+    (3.75, 0.022971114449319364, 0.016127828019284182, 0.017056327003031897, 0.017000916656160374),
+    (4.0, 0.01798322969671364, 0.01182656542707228, 0.012814450066677299, 0.012734020191445572),
+]
+
+RATES_ROWS = [
+    (1000.0, 3.1152837746448987, 0.07365605474262887),
+    (10000.0, 3.734635614026679, 0.04200464824023514),
+    (100000.0, 4.275751857119465, 0.026652989827668422),
+    (1000000.0, 4.761513709096467, 0.018271240761813287),
+    (10000000.0, 5.205653072078002, 0.013267428424632466),
+    (100000000.0, 5.617103535599689, 0.010058869510218213),
+    (1000000000.0, 6.002037699901608, 0.007883023363635236),
+    (10000000000.0, 6.364921139267791, 0.0063411992296149855),
+]
+
+
+def _json_bytes(schema, rows):
+    return json.dumps([dict(zip(schema, row)) for row in rows], indent=2) + "\n"
+
+
+class TestFullPrecisionLocks:
+    @pytest.mark.parametrize("target,rows", [
+        ("cdf", TABLE_CDF_ROWS),
+        ("pdf", TABLE_PDF_ROWS),
+    ])
+    def test_table_json(self, target, rows):
+        code, out, err = run_cli(["table", "--n", "1e6", "--t", "1", "--x=-1:4:0.25",
+                                  "--format", "json", "--target", target])
+        assert (code, err) == (0, "")
+        assert out == _json_bytes(["x", "limit", "second", "third", "exact"], rows)
+
+    def test_rates_json(self):
+        code, out, err = run_cli(["rates", "--t", "1", "--x", "0",
+                                  "--n-grid", "1e3:1e10:10", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == _json_bytes(["n", "b", "residual"], RATES_ROWS)

@@ -6,12 +6,14 @@ import math
 import pytest
 
 import oracles
+from powex import convergence_lab
 from powex import (
     ApproxOrder,
     CurveRow,
     DomainError,
     ErrorCurve,
     InsufficientDataError,
+    ResourceError,
     Scaling,
     default_n_grid,
     error_curve,
@@ -195,7 +197,25 @@ class TestDefaultNGrid:
         assert len(default_n_grid(1e3, 9.99e11, 10.0)) == 10
         assert len(default_n_grid(1e3, 1e5, 10.0)) == 3
 
+    def test_budget(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr(convergence_lab, "range", refuse, raising=False)
+        with pytest.raises(ResourceError, match="point budget"):
+            default_n_grid(1e3, 1e300, 1.0000001)  # about 6.8e9 points
+        with pytest.raises(ResourceError, match="point budget"):
+            default_n_grid(1e-300, 1e300, 10.0)  # stop/start overflows to inf
+        monkeypatch.undo()
+        monkeypatch.setattr(convergence_lab, "MAX_GRID_POINTS", 10)
+        assert len(default_n_grid()) == 10
+        with pytest.raises(ResourceError):
+            default_n_grid(1e3, 1e13, 10.0)
+
     def test_validation(self):
+        for bad in ((1e3, math.inf, 10.0), (1e3, 1e6, math.inf), (math.nan, 1e6, 10.0)):
+            with pytest.raises(DomainError):
+                default_n_grid(*bad)
         with pytest.raises(DomainError):
             default_n_grid(0.0, 1e6, 10.0)
         with pytest.raises(DomainError):

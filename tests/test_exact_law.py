@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from powex import (
     DomainError,
-    evaluate,
+    PowexError,
     exact_cdf,
     exact_cdf_values,
     exact_pdf,
@@ -150,35 +150,70 @@ class TestExactPdf:
         assert all(exact_pdf(nc, x) >= 0.0 for x in xs)
 
 
-class TestEvaluate:
-    def test_bundles_the_pointwise_results(self):
-        nc = norming_constants(1000.0, 2.0)
-        ev = evaluate(nc, 0.5)
-        assert ev.x == 0.5
-        assert ev.cdf.value == exact_cdf(nc, 0.5).value
-        assert ev.pdf == exact_pdf(nc, 0.5)
-        assert ev.g == transformed_quantile(nc, 0.5).g
+class TestSupportBoundary:
+    # Next to x_min = -d/c the float64 g carries the conditioning of c*x + d,
+    # so the library is compared with the oracle at the same g.
+    @pytest.mark.parametrize("n,t,x", [
+        (10.0, 0.5, -4.0992651),       # the difference of two logs lost 32% here
+        (10.0, 0.5, -4.09926514892),   # and raised a math domain error here
+    ])
+    def test_cli_reported_points(self, n, t, x):
+        nc = norming_constants(n, t)
+        want = oracles.hp_exact_cdf_at_g(n, transformed_quantile(nc, x).g)
+        p = exact_cdf(nc, x)
+        assert rel_err(p.value, float(want)) < 1e-12
+        assert rel_err(p.log_value, float(oracles.mp.log(want))) < 1e-14
+        assert rel_err(exact_cdf_values(nc, np.array([x]))[0], float(want)) < 1e-12
 
-    def test_tail_term_negligible_at_scale(self):
-        # the (1 - Phi)^n term is beyond all orders: below 1e-300 from
-        # n = 1000 on, and already below 1e-100 at n = 100
-        assert evaluate(norming_constants(100.0, 1.0), 0.0).tail_term_log \
-            < -100.0 * math.log(10.0)
-        for n, t in ((1000.0, 1.0), (1000.0, 2.0), (1e6, 1.0)):
-            ev = evaluate(norming_constants(n, t), 0.0)
-            assert ev.tail_term_log < -300.0 * math.log(10.0)
+    @pytest.mark.parametrize("n,t", [(2.0, 1.0), (5.0, 3.0), (10.0, 0.5), (1000.0, 1.0)])
+    @pytest.mark.parametrize("dx", [1e-6, 1e-9, 1e-12])
+    def test_against_oracle_at_same_g(self, n, t, dx):
+        nc = norming_constants(n, t)
+        x = -nc.d / nc.c + dx
+        want = float(oracles.hp_exact_cdf_at_g(n, transformed_quantile(nc, x).g))
+        assert rel_err(exact_cdf(nc, x).value, want) < 1e-12
+        assert rel_err(exact_cdf_values(nc, np.array([x]))[0], want) < 1e-12
 
-    def test_tail_term_is_n_log_survival(self):
-        nc = norming_constants(100.0, 1.0)
-        ev = evaluate(nc, 0.0)
-        want = nc.n * survival(ev.g).log_value
-        assert rel_err(ev.tail_term_log, want) < 1e-14
+    def test_underflowing_g_gives_zero(self):
+        # t = 0.01: g = (c*x + d)^100 underflows to 0 next to x_min, where
+        # F_n = Phi(0)^n - (1 - Phi(0))^n = 0 exactly
+        nc = norming_constants(10.0, 0.01)
+        x = -nc.d / nc.c + 1e-6
+        assert transformed_quantile(nc, x).g == 0.0
+        p = exact_cdf(nc, x)
+        assert (p.value, p.log_value) == (0.0, -math.inf)
+        assert exact_cdf_values(nc, np.array([x, 0.0]))[0] == 0.0
+        assert exact_pdf(nc, x) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=math.log(2.0), max_value=math.log(1e14)),
+           st.floats(min_value=0.01, max_value=8.0),
+           st.one_of(st.floats(min_value=0.0, max_value=1e-9),
+                     st.floats(min_value=0.0, max_value=20.0)))
+    @example(log_n=math.log(10.0), t=0.5, dx=0.0)
+    def test_finite_on_the_support(self, log_n, t, dx):
+        # anything but PowexError (or a RuntimeWarning) is a bug here
+        try:
+            nc = norming_constants(math.exp(log_n), t)
+        except PowexError:
+            return
+        x = -nc.d / nc.c + dx
+        assume(nc.c * x + nc.d > 0.0)
+        cdf = exact_cdf(nc, x)
+        assert 0.0 <= cdf.value <= 1.0 and cdf.log_value <= 0.0
+        pdf = exact_pdf(nc, x)
+        assert math.isfinite(pdf) and pdf >= 0.0
+        vec = exact_cdf_values(nc, np.array([x]))
+        assert 0.0 <= vec[0] <= 1.0
 
 
 class TestExactCdfValues:
     def test_matches_scalar_path(self):
         nc = norming_constants(1000.0, 2.0)
-        xs = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+        x_min = -nc.d / nc.c
+        near = [x_min + k * math.ulp(x_min) for k in (4, 16)] + [x_min + 1e-9, x_min + 1e-6]
+        assert all(nc.c * x + nc.d > 0.0 for x in near)
+        xs = np.array(near + [-2.0, -0.5, 0.0, 1.0, 3.0])
         vec = exact_cdf_values(nc, xs)
         for x, v in zip(xs, vec):
             assert rel_err(v, exact_cdf(nc, float(x)).value) < 1e-14

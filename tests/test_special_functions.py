@@ -12,8 +12,8 @@ from powex import (
     DomainError,
     Probability,
     gumbel_cdf,
-    gumbel_limits,
     gumbel_pdf,
+    mills_series_bound,
     mills_series_survival,
     std_normal_pdf,
     survival,
@@ -150,6 +150,17 @@ class TestMillsSeries:
         mills_series_survival(2.0, 0)  # boundary x=2 admitted
         mills_series_survival(5.0, 12)  # boundary order admitted
 
+    @pytest.mark.parametrize("x", [2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("order", range(7))
+    def test_bound_is_the_tabulated_envelope(self, x, order):
+        want = 2.0 * MILLS_A[order + 1] * x ** (-2 * (order + 1)) * std_normal_pdf(x) / x
+        assert mills_series_bound(x, order) == want
+
+    def test_bound_domain(self):
+        for x, order in ((1.9, 2), (5.0, -1), (5.0, 13), (math.inf, 1)):
+            with pytest.raises(DomainError):
+                mills_series_bound(x, order)
+
 
 class TestGumbel:
     def test_cdf_frozen_point(self):
@@ -183,11 +194,6 @@ class TestGumbel:
         diff = (gumbel_cdf(x + h).value - gumbel_cdf(x - h).value) / (2 * h)
         assert rel_err(diff, gumbel_pdf(x)) < 1e-8
 
-    def test_limits_pair(self):
-        cdf, pdf = gumbel_limits(1.5)
-        assert cdf.value == gumbel_cdf(1.5).value
-        assert pdf == gumbel_pdf(1.5)
-
     def test_against_oracle(self):
         for x in (-2.0, 0.0, 1.0, 4.0):
             assert rel_err(gumbel_cdf(x).value, float(oracles.hp_gumbel_cdf(x))) < 5e-15
@@ -195,6 +201,18 @@ class TestGumbel:
 
 
 class TestProbability:
+    @pytest.mark.parametrize("raw", [0.0, 0.25, 1.0])
+    def test_from_raw_in_range(self, raw):
+        p = Probability.from_raw(raw)
+        assert (p.value, p.clamped, p.raw) == (raw, False, None)
+        assert p.log_value == (math.log(raw) if raw > 0.0 else -math.inf)
+
+    @pytest.mark.parametrize("raw,value", [(-0.5, 0.0), (1.75, 1.0)])
+    def test_from_raw_clamps_and_keeps_raw(self, raw, value):
+        p = Probability.from_raw(raw)
+        assert (p.value, p.clamped, p.raw, p.unclamped) == (value, True, raw, raw)
+        assert p.log_value == (0.0 if value == 1.0 else -math.inf)
+
     def test_unclamped_plain(self):
         p = Probability(value=0.25, log_value=math.log(0.25))
         assert p.unclamped == 0.25
