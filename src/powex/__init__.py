@@ -1,103 +1,77 @@
 """Higher-order Gumbel approximations for powered maxima |M_n|^t of
 standard normal samples: norming constants, exact finite-n law, expansion
 coefficients, convergence-rate measurement, and Monte Carlo validation.
+
+Importing the package loads no submodule: each public name is imported
+from its submodule on first access (PEP 562), so the norming constants and
+the expansions run without numpy and scipy, which only the exact law, the
+normal survival function and the Monte Carlo load.
 """
-from .convergence_lab import (
-    CurveRow,
-    ErrorCurve,
-    HallCheck,
-    HallRow,
-    Scaling,
-    SlopeFit,
-    default_n_grid,
-    error_curve,
-    hall_limit_check,
-    naive_t2_constants,
-    rate_fit,
-)
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    InternalError,
-    PowexError,
-    ResourceError,
-)
-from .exact_law import exact_cdf, exact_cdf_values, exact_pdf
-from .expansions import (
-    ApproxOrder,
-    Density,
-    ExpansionCoefficients,
-    cdf_approx,
-    coefficients,
-    density_factor_expansion,
-    nu_expansion,
-    pdf_approx,
-)
-from .montecarlo import KSResult, SimSample, empirical_cdf, ks_check, simulate_block_maxima
-from .norming import (
-    NormingConstants,
-    PowerIndex,
-    TransformedQuantile,
-    norming_constants,
-    solve_b,
-    transformed_quantile,
-)
-from .special_functions import (
-    Probability,
-    gumbel_cdf,
-    gumbel_pdf,
-    mills_series_bound,
-    mills_series_survival,
-    std_normal_pdf,
-    survival,
-)
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxOrder",
-    "CurveRow",
-    "Density",
-    "DomainError",
-    "ErrorCurve",
-    "ExpansionCoefficients",
-    "HallCheck",
-    "HallRow",
-    "InsufficientDataError",
-    "InternalError",
-    "KSResult",
-    "NormingConstants",
-    "PowerIndex",
-    "PowexError",
-    "Probability",
-    "ResourceError",
-    "Scaling",
-    "SimSample",
-    "SlopeFit",
-    "TransformedQuantile",
-    "cdf_approx",
-    "coefficients",
-    "default_n_grid",
-    "density_factor_expansion",
-    "empirical_cdf",
-    "error_curve",
-    "exact_cdf",
-    "exact_cdf_values",
-    "exact_pdf",
-    "gumbel_cdf",
-    "gumbel_pdf",
-    "hall_limit_check",
-    "ks_check",
-    "mills_series_bound",
-    "mills_series_survival",
-    "naive_t2_constants",
-    "norming_constants",
-    "nu_expansion",
-    "pdf_approx",
-    "rate_fit",
-    "simulate_block_maxima",
-    "solve_b",
-    "std_normal_pdf",
-    "survival",
-    "transformed_quantile",
-]
+# Submodule -> the public names it defines
+_EXPORTS = {
+    "convergence_lab": (
+        "CurveRow", "ErrorCurve", "HallCheck", "HallRow", "Scaling", "SlopeFit",
+        "default_n_grid", "error_curve", "hall_limit_check", "naive_t2_constants",
+        "rate_fit",
+    ),
+    "errors": (
+        "DomainError", "InsufficientDataError", "InternalError", "PowexError",
+        "ResourceError",
+    ),
+    "exact_law": ("exact_cdf", "exact_cdf_values", "exact_pdf"),
+    "expansions": (
+        "ApproxOrder", "Density", "ExpansionCoefficients", "cdf_approx", "coefficients",
+        "density_factor_expansion", "nu_expansion", "pdf_approx",
+    ),
+    "montecarlo": ("KSResult", "SimSample", "empirical_cdf", "ks_check",
+                   "simulate_block_maxima"),
+    "norming": (
+        "NormingConstants", "PowerIndex", "TransformedQuantile", "norming_constants",
+        "solve_b", "transformed_quantile",
+    ),
+    "special_functions": (
+        "Probability", "gumbel_cdf", "gumbel_pdf", "mills_series_bound",
+        "mills_series_survival", "std_normal_pdf", "survival",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
+
+
+def _lazy_submodule(name: str):
+    """powex.<name>, its code run at its first attribute access.
+
+    A module that calls the exact law binds it this way, so importing that
+    module does not load numpy and scipy; once loaded it is a plain module
+    and ``exact_law.exact_cdf`` a plain attribute lookup.
+    """
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module

@@ -20,7 +20,6 @@ from typing import Sequence
 from .convergence_lab import MAX_GRID_POINTS, Scaling, default_n_grid, error_curve, rate_fit
 from .errors import InsufficientDataError, InternalError, PowexError
 from .expansions import ApproxOrder, cdf_approx, pdf_approx
-from .montecarlo import simulate_block_maxima
 from .norming import norming_constants
 from .special_functions import mills_series_bound, mills_series_survival, survival
 
@@ -88,6 +87,16 @@ def _parse_float(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _parse_precision(text: str) -> int:
+    try:
+        precision = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if precision < 1:
+        raise argparse.ArgumentTypeError(f"precision must be >= 1, got {precision}")
+    return precision
 
 
 def parse_grid(text: str) -> list[float]:
@@ -167,7 +176,7 @@ def _merge_negative_args(argv: list[str]) -> list[str]:
 def _add_output_flags(sub: argparse.ArgumentParser, precision: int) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
-    sub.add_argument("--precision", type=int, default=precision,
+    sub.add_argument("--precision", type=_parse_precision, default=precision,
                      help=f"significant digits for CSV values (default {precision})")
     sub.add_argument("--out", default="-",
                      help="output path, or - for standard output (default)")
@@ -282,6 +291,8 @@ def _cmd_mills(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    from .montecarlo import simulate_block_maxima
+
     reps = args.reps
     if reps != int(reps):
         raise PowexError(f"reps must be an integer, got {reps!r}")
@@ -314,8 +325,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def _write_output(text: str, destination: str) -> None:
     if destination == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(destination).write_text(text)
+    except OSError as exc:
+        raise PowexError(f"cannot write {destination}: {exc.strerror or exc}") from None
 
 
 def parse_and_dispatch(argv: Sequence[str]) -> int:
@@ -337,14 +351,11 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
     }
     try:
         result = handlers[args.verb](args)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        _write_output(text, args.out)
     except PowexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, tuple):
-        text, code = result
-    else:
-        text, code = result, 0
-    _write_output(text, args.out)
     return code
 
 

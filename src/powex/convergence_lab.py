@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from . import _lazy_submodule
 from .errors import DomainError, InsufficientDataError, ResourceError
-from .exact_law import exact_cdf, exact_pdf
 from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
 from .norming import NormingConstants, PowerIndex, norming_constants, solve_b, transformed_quantile
 from .special_functions import gumbel_cdf, gumbel_pdf
+
+exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -119,9 +121,10 @@ def _scaled_gap_terms(nc: NormingConstants, x: float, target: str) -> tuple[floa
     """(scaled error, first coefficient, second coefficient) at one grid point."""
     co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
     if target == "cdf":
-        err = nc.error_scale * (exact_cdf(nc, x).value - gumbel_cdf(x).value) / gumbel_pdf(x)
+        gap = exact_law.exact_cdf(nc, x).value - gumbel_cdf(x).value
+        err = nc.error_scale * gap / gumbel_pdf(x)
         return err, co.k1, co.k2
-    err = nc.error_scale * (exact_pdf(nc, x) / gumbel_pdf(x) - 1.0)
+    err = nc.error_scale * (exact_law.exact_pdf(nc, x) / gumbel_pdf(x) - 1.0)
     return err, co.varpi, co.tau
 
 
@@ -145,9 +148,9 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     for nc in _grid_constants(t, x, n_grid):
         if scaling is Scaling.RAW:
             if target == "cdf":
-                res = cdf_approx(nc, x, order).unclamped - exact_cdf(nc, x).value
+                res = cdf_approx(nc, x, order).unclamped - exact_law.exact_cdf(nc, x).value
             else:
-                res = pdf_approx(nc, x, order).unfloored - exact_pdf(nc, x)
+                res = pdf_approx(nc, x, order).unfloored - exact_law.exact_pdf(nc, x)
         else:
             err, first, second = _scaled_gap_terms(nc, x, target)
             res = err - first

@@ -14,9 +14,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import exact_law
+from . import _lazy_submodule
+from .errors import DomainError
 from .norming import NormingConstants, PowerIndex, transformed_quantile
 from .special_functions import Probability, _require_finite, gumbel_cdf, gumbel_pdf
+
+exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
 
 
 class ApproxOrder(enum.Enum):
@@ -63,31 +66,37 @@ def _density_factor_terms(p: PowerIndex, x: float) -> tuple[float, float]:
 
 
 def coefficients(t: float | PowerIndex, x: float) -> ExpansionCoefficients:
-    """Evaluate k1, k2, varpi, tau, theta1, theta2 at (t, x)."""
+    """Evaluate k1, k2, varpi, tau, theta1, theta2 at (t, x).
+
+    An x whose powers or e^{-x} pass the float range is a DomainError.
+    """
     p = PowerIndex.of(t)
     x = _require_finite(x)
-    emx = math.exp(-x)
-    first, second = _density_factor_terms(p, x)
-    if p.is_two:
-        theta1 = 3.5 + 3.0 * x + x * x
-        theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
-        k1 = -theta1
-        k2 = theta2
-        varpi = first - emx * theta1
-        tau = emx * theta2 - second
+    try:
+        emx = math.exp(-x)
+        first, second = _density_factor_terms(p, x)
+        if p.is_two:
+            theta1 = 3.5 + 3.0 * x + x * x
+            theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
+            k1 = -theta1
+            k2 = theta2
+            varpi = first - emx * theta1
+            tau = emx * theta2 - second
+            return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
+                                         theta1=theta1, theta2=theta2, is_two=True)
+        tv = p.t
+        theta1 = 1.0 + x + 0.5 * (2.0 - tv) * x * x
+        theta2 = (3.0 + 3.0 * x + 1.5 * x * x
+                  + (2.0 - tv) * (2.0 * tv + 1.0) / 6.0 * x ** 3
+                  + (tv - 2.0) ** 2 / 8.0 * x ** 4)
+        k1 = theta1
+        k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
+        varpi = x * first + emx * theta1
+        tau = x * emx * first * theta1 + second - emx * (theta2 - 0.5 * emx * theta1 * theta1)
         return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
-                                     theta1=theta1, theta2=theta2, is_two=True)
-    tv = p.t
-    theta1 = 1.0 + x + 0.5 * (2.0 - tv) * x * x
-    theta2 = (3.0 + 3.0 * x + 1.5 * x * x
-              + (2.0 - tv) * (2.0 * tv + 1.0) / 6.0 * x ** 3
-              + (tv - 2.0) ** 2 / 8.0 * x ** 4)
-    k1 = theta1
-    k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
-    varpi = x * first + emx * theta1
-    tau = x * emx * first * theta1 + second - emx * (theta2 - 0.5 * emx * theta1 * theta1)
-    return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
-                                 theta1=theta1, theta2=theta2, is_two=False)
+                                     theta1=theta1, theta2=theta2, is_two=False)
+    except OverflowError:
+        raise DomainError(f"expansion coefficients overflow at x={x}") from None
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:

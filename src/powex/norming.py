@@ -118,8 +118,11 @@ def norming_constants(n: float, t: float | PowerIndex) -> NormingConstants:
         c = 2.0 * (1.0 - 1.0 / u)
         d = u - 2.0 / u
     else:
-        c = p.t * b ** (p.t - 2.0)
-        d = b ** p.t
+        try:
+            c = p.t * b ** (p.t - 2.0)
+            d = b ** p.t
+        except OverflowError:
+            raise DomainError(f"norming constants overflow at n={n}, t={p.t}") from None
     return NormingConstants(n=float(n), t=p.t, b=b, c=c, d=d,
                             is_two=p.is_two, near_two=p.near_two)
 
@@ -133,7 +136,8 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
     """g(x) = (c*x + d)^(1/t) and its derivative (c/t)*(c*x + d)^(1/t - 1).
 
     Defined only where c*x + d > 0; below that the power is not real and
-    the error reports the boundary x_min = -d/c.
+    the error reports the boundary x_min = -d/c. A power past the float
+    range is a DomainError too.
     """
     x = _require_finite(x)
     arg = nc.c * x + nc.d
@@ -144,6 +148,9 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
             x_min=x_min,
         )
     inv_t = 1.0 / nc.t
-    g = arg ** inv_t
-    dg_dx = (nc.c * inv_t) * arg ** (inv_t - 1.0)
+    try:
+        g = arg ** inv_t
+        dg_dx = (nc.c * inv_t) * arg ** (inv_t - 1.0)
+    except OverflowError:
+        raise DomainError(f"(c*x + d)^(1/t) overflows at x={x}") from None
     return TransformedQuantile(g=g, dg_dx=dg_dx)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr, ndtr
-
 from .errors import DomainError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -77,6 +75,8 @@ def survival(x: float) -> Probability:
     function: a few ulp in the body, approaching 2e-13 in the far tail
     (x around 30). The CDF is ``survival(-x)``.
     """
+    from scipy.special import log_ndtr, ndtr  # here, so importing this module skips scipy
+
     x = _require_finite(x)
     return Probability(value=float(ndtr(-x)), log_value=float(log_ndtr(-x)))
 

@@ -200,6 +200,22 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_cli(["--help"])[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["norming", "--n", "1e6", "--precision", "0"],
+        ["table", "--n", "1e6", "--t", "1", "--x", "1", "--precision", "-1"],
+    ])
+    def test_precision_below_one(self, argv):
+        # the scientific branch formats with precision - 1 digits
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.strip().split("\n")[-1].endswith("precision must be >= 1, got " + argv[-1])
+
+    def test_precision_one(self):
+        code, out, err = run_cli(["norming", "--n", "1e6", "--t", "1", "--precision", "1"])
+        assert (code, err) == (0, "")
+        assert out == "n,t,b,c,d\n1e+06,1,5,0.2,5\n"
+
 
 class TestTableVerb:
     def test_default_orders(self):
@@ -247,6 +263,24 @@ class TestTableVerb:
         code, _, err = run_cli(["table", "--n", "1000", "--t", "2", "--x=-20"])
         assert code == 1
         assert "x_min" in err
+
+
+class TestOverflowRefused:
+    # each ended in a bare OverflowError traceback
+    @pytest.mark.parametrize("argv,what", [
+        (["table", "--n", "10", "--t", "0.5", "--x", "1e300", "--orders", "exact"],
+         "(c*x + d)^(1/t) overflows"),
+        (["table", "--n", "1e6", "--t", "1", "--x", "1e300", "--orders", "second"],
+         "expansion coefficients overflow"),
+        (["rates", "--t", "1", "--x", "1e200"], "expansion coefficients overflow"),
+        (["table", "--n", "1e6", "--t", "0.01", "--x=-1000", "--orders", "second"],
+         "expansion coefficients overflow"),
+        (["norming", "--n", "1e6", "--t", "1000"], "norming constants overflow"),
+    ])
+    def test_domain_error(self, argv, what):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and what in err
 
 
 class TestRatesVerb:
@@ -349,6 +383,15 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text() == "n,t,b,c,d\n1000,2,3.1153,1.7939,9.4989\n"
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out(self, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run_cli(["table", "--n", "1e6", "--t", "1", "--x", "1",
+                                  "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}:")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

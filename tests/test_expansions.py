@@ -119,6 +119,12 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             coefficients(1.0, math.nan)
 
+    @pytest.mark.parametrize("t,x", [(1.0, 1e300), (1.0, 1e80), (2.0, 1e200), (0.5, -1000.0)])
+    def test_overflow(self, t, x):
+        # x**4, x**3 and e^{-x} pass the float range
+        with pytest.raises(DomainError, match="overflow"):
+            coefficients(t, x)
+
 
 class TestCdfApprox:
     def test_frozen_orders(self):

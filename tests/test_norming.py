@@ -122,6 +122,12 @@ class TestNormingConstants:
         with pytest.raises(DomainError):
             norming_constants(100.0, math.nan)
 
+    def test_overflow(self):
+        # b^(t-2) passes the float range at n = 1e6 once t exceeds about 456
+        assert math.isfinite(norming_constants(1e6, 400.0).c)
+        with pytest.raises(DomainError, match="overflow"):
+            norming_constants(1e6, 1000.0)
+
 
 class TestNearTwo:
     def test_branch_discontinuity_is_flagged(self):
@@ -182,3 +188,10 @@ class TestTransformedQuantile:
         nc = norming_constants(1000.0, 1.0)
         with pytest.raises(DomainError):
             transformed_quantile(nc, math.inf)
+
+    def test_overflow(self):
+        # (c*x + d)^(1/t) passes the float range for t < 1 and large x
+        nc = norming_constants(10.0, 0.5)
+        assert math.isfinite(transformed_quantile(nc, 1e150).g)
+        with pytest.raises(DomainError, match="overflows"):
+            transformed_quantile(nc, 1e300)

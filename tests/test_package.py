@@ -1,0 +1,102 @@
+"""Package surface: lazy exports, and which commands load numpy and scipy.
+
+The norming constants and the expansions are pure ``math``; a cold
+``python -m powex`` loads numpy and scipy only for a verb that evaluates
+the exact law, the normal survival function or the Monte Carlo.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import powex
+
+SRC = str(Path(powex.__file__).resolve().parent.parent)
+
+# Runs ``python -m powex ARGS...`` in this interpreter, then prints the
+# loaded module names as the last line of stdout.
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["powex", *sys.argv[1:]]
+try:
+    runpy.run_module("powex", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(args: list[str]) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return set(json.loads(proc.stdout.strip().split("\n")[-1]))
+
+
+def heavy(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["norming", "--n", "1000", "--t", "2"],
+    ["norming", "--n", "1e6", "--t", "0.5", "--format", "json"],
+    ["norming", "--n", "1"],
+    ["table", "--n", "1000", "--t", "2", "--x=0:2:0.5", "--orders", "limit,third",
+     "--target", "pdf"],
+])
+def test_pure_math_verbs_load_neither_numpy_nor_scipy(argv):
+    modules = loaded_modules(["-c", CLI_PROBE, *argv])
+    assert "powex.cli" in modules
+    assert heavy(modules) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["mills", "--x", "5"],
+    ["table", "--n", "1000", "--t", "2", "--x", "0", "--orders", "exact"],
+])
+def test_exact_law_and_survival_verbs_load_scipy(argv):
+    # the probe sees a load when there is one
+    assert "scipy.special" in loaded_modules(["-c", CLI_PROBE, *argv])
+
+
+def test_import_cli_and_dir_load_neither_numpy_nor_scipy():
+    modules = loaded_modules(["-c", "import json, sys, powex, powex.cli; dir(powex); "
+                                    "print(json.dumps(sorted(sys.modules)))"])
+    assert heavy(modules) == []
+
+
+def test_fresh_dir_covers_all():
+    names = loaded_modules(["-c", "import json, powex; print(json.dumps(dir(powex)))"])
+    assert set(powex.__all__) <= names
+    assert set(powex.__all__) <= set(dir(powex))
+
+
+@pytest.mark.parametrize("name", powex.__all__)
+def test_export_is_the_defining_module_object(name):
+    obj = getattr(powex, name)
+    module = sys.modules[obj.__module__]
+    assert module.__name__.startswith("powex.")
+    assert getattr(module, name) is obj
+
+
+def test_submodules_and_star_import():
+    assert powex.exact_cdf is powex.exact_law.exact_cdf
+    from powex import convergence_lab, exact_law, expansions
+    # the lazily bound exact_law is the one module object
+    assert expansions.exact_law is exact_law
+    assert convergence_lab.exact_law is exact_law
+    namespace: dict = {}
+    exec("from powex import *", namespace)
+    assert {k for k in namespace if not k.startswith("__")} == set(powex.__all__)
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        powex.frobnicate  # noqa: B018
