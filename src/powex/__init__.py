@@ -32,8 +32,8 @@ _EXPORTS = {
     "montecarlo": ("KSResult", "SimSample", "empirical_cdf", "ks_check",
                    "simulate_block_maxima"),
     "norming": (
-        "NormingConstants", "PowerIndex", "TransformedQuantile", "norming_constants",
-        "solve_b", "transformed_quantile",
+        "NormingConstants", "TransformedQuantile", "norming_constants", "solve_b",
+        "transformed_quantile",
     ),
     "special_functions": (
         "Probability", "gumbel_cdf", "gumbel_pdf", "mills_series_bound",

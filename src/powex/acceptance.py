@@ -12,7 +12,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .convergence_lab import error_curve, hall_limit_check, naive_t2_constants, \
     rate_fit, Scaling
@@ -24,8 +24,7 @@ from .special_functions import LOG_2PI, gumbel_cdf, mills_series_bound, \
     mills_series_survival, survival
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     status: str  # PASS or FAIL
     measured: float

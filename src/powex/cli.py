@@ -294,7 +294,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     from .montecarlo import simulate_block_maxima
 
     reps = args.reps
-    if reps != int(reps):
+    if not math.isfinite(reps) or reps != int(reps):
         raise PowexError(f"reps must be an integer, got {reps!r}")
     nc = norming_constants(args.n, args.t)
     sample = simulate_block_maxima(nc, int(reps), args.seed)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _lazy_submodule
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
-from .norming import NormingConstants, PowerIndex, norming_constants, solve_b, transformed_quantile
+from .norming import NormingConstants, norming_constants, solve_b, transformed_quantile
 from .special_functions import gumbel_cdf, gumbel_pdf
 
 exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
@@ -53,8 +52,7 @@ class CurveRow(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(NamedTuple):
     """Per-n residual table with the scaling that produced it."""
 
     t: float
@@ -70,8 +68,7 @@ class ErrorCurve:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     slope: float
     intercept: float
     stderr: float
@@ -86,8 +83,7 @@ class HallRow(NamedTuple):
     gap: float
 
 
-@dataclass(frozen=True)
-class HallCheck:
+class HallCheck(NamedTuple):
     """Scaled-error table plus the verdict on the first-order limit."""
 
     t: float
@@ -119,12 +115,16 @@ def _grid_constants(t: float, x: float, n_grid: Sequence[float]) -> list[Norming
 
 def _scaled_gap_terms(nc: NormingConstants, x: float, target: str) -> tuple[float, float, float]:
     """(scaled error, first coefficient, second coefficient) at one grid point."""
-    co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
+    co = coefficients(nc.t, x)
+    lam_pdf = gumbel_pdf(x)
+    if lam_pdf == 0.0:
+        raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
+                          "the scaled error is undefined there")
     if target == "cdf":
         gap = exact_law.exact_cdf(nc, x).value - gumbel_cdf(x).value
-        err = nc.error_scale * gap / gumbel_pdf(x)
+        err = nc.error_scale * gap / lam_pdf
         return err, co.k1, co.k2
-    err = nc.error_scale * (exact_law.exact_pdf(nc, x) / gumbel_pdf(x) - 1.0)
+    err = nc.error_scale * (exact_law.exact_pdf(nc, x) / lam_pdf - 1.0)
     return err, co.varpi, co.tau
 
 

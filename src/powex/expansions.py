@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _lazy_submodule
 from .errors import DomainError
-from .norming import NormingConstants, PowerIndex, transformed_quantile
+from .norming import NormingConstants, _power_index, transformed_quantile
 from .special_functions import Probability, _require_finite, gumbel_cdf, gumbel_pdf
 
 exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
@@ -32,8 +32,7 @@ class ApproxOrder(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(NamedTuple):
     """All six expansion coefficients at a fixed (t, x).
 
     For t != 2, theta1/theta2 are the survival-power expansion coefficients
@@ -51,50 +50,53 @@ class ExpansionCoefficients:
     is_two: bool
 
 
-def _density_factor_terms(p: PowerIndex, x: float) -> tuple[float, float]:
+def _density_factor_terms(t: float, x: float) -> tuple[float, float]:
     """Density factor n * d/dx Phi(g) = e^{-x}(1 + m1/b^2 + m2/b^4 + ...): (h, m2),
     m1 = x*h; at t = 2 e^{-x}(1 + p1/b^4 - p2/b^6 + ...): (p1, p2) =
     (1/2 + x + x^2, 1/3 + 2x + 2x^2 + (4/3)x^3)."""
-    if p.is_two:
+    if t == 2.0:
         return 0.5 + x + x * x, 1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3
-    tv = p.t
-    h = 1.0 - tv + 0.5 * (tv - 2.0) * x
-    m2 = x * x * ((1.0 - tv) * (1.0 - 2.0 * tv) / 2.0
-                  + 5.0 * (1.0 - tv) * (tv - 2.0) / 6.0 * x
-                  + (tv - 2.0) ** 2 / 8.0 * x * x)
+    h = 1.0 - t + 0.5 * (t - 2.0) * x
+    m2 = x * x * ((1.0 - t) * (1.0 - 2.0 * t) / 2.0
+                  + 5.0 * (1.0 - t) * (t - 2.0) / 6.0 * x
+                  + (t - 2.0) ** 2 / 8.0 * x * x)
     return h, m2
 
 
-def coefficients(t: float | PowerIndex, x: float) -> ExpansionCoefficients:
+def coefficients(t: float, x: float) -> ExpansionCoefficients:
     """Evaluate k1, k2, varpi, tau, theta1, theta2 at (t, x).
 
-    An x whose powers or e^{-x} pass the float range is a DomainError.
+    An x whose powers or e^{-x} pass the float range, or that leaves any
+    coefficient inf or nan, is a DomainError.
     """
-    p = PowerIndex.of(t)
+    t = _power_index(t)
     x = _require_finite(x)
+    is_two = t == 2.0
     try:
         emx = math.exp(-x)
-        first, second = _density_factor_terms(p, x)
-        if p.is_two:
+        first, second = _density_factor_terms(t, x)
+        if is_two:
             theta1 = 3.5 + 3.0 * x + x * x
             theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
             k1 = -theta1
             k2 = theta2
             varpi = first - emx * theta1
             tau = emx * theta2 - second
-            return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
-                                         theta1=theta1, theta2=theta2, is_two=True)
-        tv = p.t
-        theta1 = 1.0 + x + 0.5 * (2.0 - tv) * x * x
-        theta2 = (3.0 + 3.0 * x + 1.5 * x * x
-                  + (2.0 - tv) * (2.0 * tv + 1.0) / 6.0 * x ** 3
-                  + (tv - 2.0) ** 2 / 8.0 * x ** 4)
-        k1 = theta1
-        k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
-        varpi = x * first + emx * theta1
-        tau = x * emx * first * theta1 + second - emx * (theta2 - 0.5 * emx * theta1 * theta1)
-        return ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
-                                     theta1=theta1, theta2=theta2, is_two=False)
+        else:
+            theta1 = 1.0 + x + 0.5 * (2.0 - t) * x * x
+            theta2 = (3.0 + 3.0 * x + 1.5 * x * x
+                      + (2.0 - t) * (2.0 * t + 1.0) / 6.0 * x ** 3
+                      + (t - 2.0) ** 2 / 8.0 * x ** 4)
+            k1 = theta1
+            k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
+            varpi = x * first + emx * theta1
+            tau = x * emx * first * theta1 + second - emx * (theta2 - 0.5 * emx * theta1 * theta1)
+        co = ExpansionCoefficients(k1=k1, k2=k2, varpi=varpi, tau=tau,
+                                   theta1=theta1, theta2=theta2, is_two=is_two)
+        # each on its own: x*x products reach inf without an OverflowError
+        if not all(map(math.isfinite, co[:6])):
+            raise OverflowError
+        return co
     except OverflowError:
         raise DomainError(f"expansion coefficients overflow at x={x}") from None
 
@@ -114,13 +116,12 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     lam = gumbel_cdf(x)
     if order is ApproxOrder.LIMIT:
         return lam
-    co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
+    co = coefficients(nc.t, x)
     correction = co.k1 if order is ApproxOrder.SECOND else co.k1 + co.k2 / nc.b_squared
     return Probability.from_raw(lam.value + 1.0 / nc.error_scale * gumbel_pdf(x) * correction)
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(NamedTuple):
     """A density value floored at 0, keeping the raw number when floored."""
 
     value: float
@@ -146,7 +147,7 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     lam_pdf = gumbel_pdf(x)
     if order is ApproxOrder.LIMIT:
         return Density(value=lam_pdf)
-    co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
+    co = coefficients(nc.t, x)
     correction = co.varpi if order is ApproxOrder.SECOND else co.varpi + co.tau / nc.b_squared
     raw = lam_pdf * (1.0 + 1.0 / nc.error_scale * correction)
     if raw >= 0.0:
@@ -165,7 +166,7 @@ def nu_expansion(nc: NormingConstants, x: float) -> float:
     u = nc.b_squared
     emx = math.exp(-x)
     lam = gumbel_cdf(x).value
-    co = coefficients(PowerIndex(t=nc.t, is_two=nc.is_two), x)
+    co = coefficients(nc.t, x)
     if nc.is_two:
         return lam * (1.0 - emx / (u * u) * co.theta1 + emx / (u ** 3) * co.theta2)
     return lam * (1.0 + emx / u * co.theta1
@@ -182,7 +183,7 @@ def density_factor_expansion(nc: NormingConstants, x: float) -> float:
     u = nc.b_squared
     x = float(x)
     emx = math.exp(-x)
-    first, second = _density_factor_terms(PowerIndex(t=nc.t, is_two=nc.is_two), x)
+    first, second = _density_factor_terms(nc.t, x)
     if nc.is_two:
         return emx * (1.0 + first / (u * u) - second / u ** 3)
     return emx * (1.0 + x * first / u + second / (u * u))

@@ -23,7 +23,6 @@ within a few ulps of each other in that band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +46,7 @@ MAX_REPS = 10 ** 7
 _CHUNK_TARGET_DRAWS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SimSample:
+class SimSample(NamedTuple):
     """Seeded sample of normalized powered block maxima, length ``reps``."""
 
     nc: NormingConstants

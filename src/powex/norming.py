@@ -12,7 +12,6 @@ together with the transformed quantile g(x) = (c*x + d)^(1/t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -26,36 +25,14 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-15
 
 
-@dataclass(frozen=True)
-class PowerIndex:
-    """Power index t > 0 with its branch flag.
-
-    The t = 2 branch is selected by exact comparison; ``near_two`` marks
-    indices within (0, 1e-3) of 2, where the t != 2 expansion degrades
-    without the t = 2 formulas applying.
-    """
-
-    t: float
-    is_two: bool
-
-    @classmethod
-    def of(cls, t: float | PowerIndex) -> PowerIndex:
-        if isinstance(t, PowerIndex):
-            return t
-        t = _require_finite(t, "t")
-        if t <= 0.0:
-            raise DomainError(f"power index must be > 0, got {t}")
-        return cls(t=t, is_two=(t == 2.0))
-
-    @property
-    def near_two(self) -> bool:
-        return 0.0 < abs(self.t - 2.0) < NEAR_TWO_WINDOW
-
-
-@dataclass(frozen=True)
-class NormingConstants:
+class NormingConstants(NamedTuple):
     """The tuple (n, t, b, c, d) tying a sample size and power index to its
-    normalization; ``near_two`` warns of proximity to the t = 2 branch point."""
+    normalization.
+
+    The t = 2 branch (``is_two``) is selected by exact comparison;
+    ``near_two`` marks indices within (0, 1e-3) of 2, where the t != 2
+    expansion degrades without the t = 2 formulas applying.
+    """
 
     n: float
     t: float
@@ -100,17 +77,26 @@ def solve_b(n: float) -> float:
     return math.sqrt(u)
 
 
-def norming_constants(n: float, t: float | PowerIndex) -> NormingConstants:
+def _power_index(t: float) -> float:
+    """The power index as a float, checked finite and > 0."""
+    t = _require_finite(t, "t")
+    if t <= 0.0:
+        raise DomainError(f"power index must be > 0, got {t}")
+    return t
+
+
+def norming_constants(n: float, t: float) -> NormingConstants:
     """Full norming tuple for sample size n and power index t.
 
     The t = 2 branch needs b^2 > 1 for a positive scaling c; that fails
     for n <= sqrt(2*pi*e) (about 4.13), so integer sample sizes below 5
     are rejected there.
     """
-    p = PowerIndex.of(t)
+    t = _power_index(t)
     b = solve_b(n)
     u = b * b
-    if p.is_two:
+    is_two = t == 2.0
+    if is_two:
         if u <= 1.0:
             raise DomainError(
                 f"t=2 norming needs b^2 > 1, i.e. n > sqrt(2*pi*e) ~ 4.133; got n={n}"
@@ -119,12 +105,12 @@ def norming_constants(n: float, t: float | PowerIndex) -> NormingConstants:
         d = u - 2.0 / u
     else:
         try:
-            c = p.t * b ** (p.t - 2.0)
-            d = b ** p.t
+            c = t * b ** (t - 2.0)
+            d = b ** t
         except OverflowError:
-            raise DomainError(f"norming constants overflow at n={n}, t={p.t}") from None
-    return NormingConstants(n=float(n), t=p.t, b=b, c=c, d=d,
-                            is_two=p.is_two, near_two=p.near_two)
+            raise DomainError(f"norming constants overflow at n={n}, t={t}") from None
+    return NormingConstants(n=float(n), t=t, b=b, c=c, d=d, is_two=is_two,
+                            near_two=0.0 < abs(t - 2.0) < NEAR_TWO_WINDOW)
 
 
 class TransformedQuantile(NamedTuple):

@@ -10,7 +10,7 @@ The Mills series is kept strictly as a diagnostic: it is an asymptotic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -22,8 +22,7 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 MAX_SERIES_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Probability:
+class Probability(NamedTuple):
     """A probability with its natural log carried for tail-safe composition.
 
     ``value`` is always inside [0, 1]. When a producer had to clamp (or

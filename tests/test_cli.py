@@ -276,6 +276,16 @@ class TestOverflowRefused:
         (["table", "--n", "1e6", "--t", "0.01", "--x=-1000", "--orders", "second"],
          "expansion coefficients overflow"),
         (["norming", "--n", "1e6", "--t", "1000"], "norming constants overflow"),
+        # (t-2)^2/8 * x^4 reaches inf while x**4 stays finite: printed nan
+        (["table", "--n", "1e6", "--t", "8", "--x", "8e76", "--orders", "second,third"],
+         "expansion coefficients overflow"),
+        # Lambda'(x) underflows to 0 and the scaled error divided by it
+        (["rates", "--t", "1", "--x", "800", "--n-grid", "1e3:1e5:10"],
+         "Gumbel density underflows"),
+        (["rates", "--t", "1", "--x=-7", "--n-grid", "1e3:1e5:10"],
+         "Gumbel density underflows"),
+        (["rates", "--t", "1", "--x", "800", "--n-grid", "1e3:1e5:10", "--target", "pdf"],
+         "Gumbel density underflows"),
     ])
     def test_domain_error(self, argv, what):
         code, out, err = run_cli(argv)
@@ -357,6 +367,13 @@ class TestSimulateVerb:
         code, _, err = run_cli(["simulate", "--n", "100", "--t", "1", "--reps", "2.5"])
         assert code == 1
         assert "integer" in err
+
+    @pytest.mark.parametrize("reps", ["inf", "nan"])
+    def test_non_finite_reps(self, reps):
+        # int(reps) raised OverflowError / ValueError
+        code, out, err = run_cli(["simulate", "--n", "100", "--t", "2", "--reps", reps])
+        assert (code, out) == (1, "")
+        assert err == f"error: reps must be an integer, got {reps}\n"
 
     def test_budget_refused(self, monkeypatch):
         code, _, err = run_cli(["simulate", "--n", "1e5", "--t", "1",

@@ -119,9 +119,12 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             coefficients(1.0, math.nan)
 
-    @pytest.mark.parametrize("t,x", [(1.0, 1e300), (1.0, 1e80), (2.0, 1e200), (0.5, -1000.0)])
+    @pytest.mark.parametrize("t,x", [(1.0, 1e300), (1.0, 1e80), (2.0, 1e200), (0.5, -1000.0),
+                                     (8.0, 8e76)])
     def test_overflow(self, t, x):
-        # x**4, x**3 and e^{-x} pass the float range
+        # x**4, x**3 and e^{-x} pass the float range; at (8, 8e76)
+        # (t-2)^2/8 * x^4 reaches inf while x**4 stays finite, which left
+        # k2 and tau inf without an OverflowError
         with pytest.raises(DomainError, match="overflow"):
             coefficients(t, x)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from powex import (
     DomainError,
-    PowerIndex,
     norming_constants,
     solve_b,
     std_normal_pdf,
@@ -142,13 +141,8 @@ class TestNearTwo:
         assert norming_constants(1000.0, 2.0 + 0.5e-3).near_two
         assert not norming_constants(1000.0, 2.0 + 2e-3).near_two
         assert not norming_constants(1000.0, 2.0).near_two
-
-    def test_power_index_of(self):
-        p = PowerIndex.of(2.0)
-        assert p.is_two and not p.near_two
-        assert PowerIndex.of(p) is p
-        q = PowerIndex.of(1.9995)
-        assert q.near_two and not q.is_two
+        nc = norming_constants(1000.0, 1.9995)
+        assert nc.near_two and not nc.is_two
 
 
 class TestTransformedQuantile:

@@ -55,6 +55,8 @@ def test_pure_math_verbs_load_neither_numpy_nor_scipy(argv):
     modules = loaded_modules(["-c", CLI_PROBE, *argv])
     assert "powex.cli" in modules
     assert heavy(modules) == []
+    # the records are NamedTuples: no dataclasses, which imports inspect
+    assert {"dataclasses", "inspect"} & modules == set()
 
 
 @pytest.mark.parametrize("argv", [
