@@ -8,8 +8,6 @@ the expansions run without numpy and scipy, which only the exact law, the
 normal survival function and the Monte Carlo load.
 """
 import importlib
-import importlib.util
-import sys
 
 __version__ = "0.1.0"
 
@@ -29,8 +27,7 @@ _EXPORTS = {
         "ApproxOrder", "Density", "ExpansionCoefficients", "cdf_approx", "coefficients",
         "density_factor_expansion", "nu_expansion", "pdf_approx",
     ),
-    "montecarlo": ("KSResult", "SimSample", "empirical_cdf", "ks_check",
-                   "simulate_block_maxima"),
+    "montecarlo": ("KSResult", "SimSample", "ks_check", "simulate_block_maxima"),
     "norming": (
         "NormingConstants", "TransformedQuantile", "norming_constants", "solve_b",
         "transformed_quantile",
@@ -57,21 +54,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
-
-
-def _lazy_submodule(name: str):
-    """powex.<name>, its code run at its first attribute access.
-
-    A module that calls the exact law binds it this way, so importing that
-    module does not load numpy and scipy; once loaded it is a plain module
-    and ``exact_law.exact_cdf`` a plain attribute lookup.
-    """
-    fullname = f"{__name__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-    return module

@@ -8,6 +8,7 @@ the full battery in order.
 """
 from __future__ import annotations
 
+import functools
 import math
 import subprocess
 import sys
@@ -30,67 +31,62 @@ class CheckResult(NamedTuple):
     measured: float
     bound: float
     detail: str = ""
+    elapsed_s: float = 0.0
 
 
-def _result(check: str, ok: bool, measured: float, bound: float, detail: str) -> CheckResult:
-    return CheckResult(check=check, status="PASS" if ok else "FAIL",
-                       measured=measured, bound=bound, detail=detail)
+def _check(name: str, budget_s: float = math.inf):
+    """Make a zero-argument check from a body returning ``(ok, measured,
+    bound, detail)``. The check times the whole body, first calls included,
+    and PASSes only when ``ok`` holds and the body took under ``budget_s`` s."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            start = time.perf_counter()
+            ok, measured, bound, detail = body()
+            elapsed = time.perf_counter() - start
+            status = "PASS" if ok and elapsed < budget_s else "FAIL"
+            return CheckResult(name, status, measured, bound, detail, elapsed)
+        return check
+    return decorate
 
 
-def check_norming_residual() -> CheckResult:
+@_check("norming-residual", budget_s=1e-3)
+def check_norming_residual():
     """|2*pi*b^2*e^{b^2}/n^2 - 1| <= 1e-12 at n in {10, 1e3, 1e6, 1e12}, under 1 ms."""
     ns = [10.0, 1e3, 1e6, 1e12]
-    solve_b(ns[0])  # warm the code path before timing
-    start = time.perf_counter()
     bs = [solve_b(n) for n in ns]
-    elapsed = time.perf_counter() - start
     worst = max(
         abs(math.exp(LOG_2PI + math.log(b * b) + b * b - 2.0 * math.log(n)) - 1.0)
         for n, b in zip(ns, bs)
     )
-    ok = worst <= 1e-12 and elapsed < 1e-3
-    return _result("norming-residual", ok, worst, 1e-12,
-                   f"elapsed={elapsed * 1e3:.3f}ms over {len(ns)} solves")
+    return worst <= 1e-12, worst, 1e-12, f"over {len(ns)} solves"
 
 
-def check_mills_series() -> CheckResult:
+@_check("mills-series", budget_s=1e-3)
+def check_mills_series():
     """Series error within 2*a_{L+1}*x^{-2(L+1)}*phi(x)/x for x in {5,10,20},
     L in 0..3, under 1 ms."""
-    xs = [5.0, 10.0, 20.0]
-    mills_series_survival(5.0, 0)  # warm
     worst_ratio = 0.0
-    start = time.perf_counter()
-    for x in xs:
+    for x in (5.0, 10.0, 20.0):
         exact = survival(x).value
         for order in range(4):
             approx = mills_series_survival(x, order).value
             worst_ratio = max(worst_ratio, abs(approx - exact) / mills_series_bound(x, order))
-    elapsed = time.perf_counter() - start
-    ok = worst_ratio <= 1.0 and elapsed < 1e-3
-    return _result("mills-series", ok, worst_ratio, 1.0,
-                   f"max |error|/bound ratio; elapsed={elapsed * 1e3:.3f}ms")
+    return worst_ratio <= 1.0, worst_ratio, 1.0, "max |error|/bound ratio"
 
 
-def check_hall_limit() -> CheckResult:
+@_check("hall-limit", budget_s=1.0)
+def check_hall_limit():
     """Scaled error vs k1: |gap| at n=1e12 within 1.5|k2|/b^2 + 10/b^4 and
     below the n=1e6 gap, for t in {0.5, 1, 3, 2} x x in {-1, 0, 1, 2}."""
-    start = time.perf_counter()
-    worst = 0.0
-    all_ok = True
-    for t in (0.5, 1.0, 3.0, 2.0):
-        for x in (-1.0, 0.0, 1.0, 2.0):
-            res = hall_limit_check(t, x, [1e6, 1e12])
-            worst = max(worst, abs(res.final_gap) / res.bound)
-            all_ok = all_ok and res.passed
-    elapsed = time.perf_counter() - start
-    ok = all_ok and elapsed < 1.0
-    return _result("hall-limit", ok, worst, 1.0,
-                   f"max |final gap|/bound over 16 (t,x); elapsed={elapsed:.3f}s")
+    checks = [hall_limit_check(t, x, [1e6, 1e12])
+              for t in (0.5, 1.0, 3.0, 2.0) for x in (-1.0, 0.0, 1.0, 2.0)]
+    worst = max(abs(res.final_gap) / res.bound for res in checks)
+    return (all(res.passed for res in checks), worst, 1.0,
+            "max |final gap|/bound over 16 (t,x)")
 
 
-def _remainder_slope_check(check: str, target: str,
-                           combos: list[tuple[float, float]]) -> CheckResult:
-    start = time.perf_counter()
+def _remainder_slope(target: str, combos: list[tuple[float, float]]):
     grid = [10.0 ** k for k in range(3, 13)]
     worst_dev = 0.0
     ok = True
@@ -102,27 +98,25 @@ def _remainder_slope_check(check: str, target: str,
         slopes.append(f"(t={t:g},x={x:g})={fit.slope:.3f}")
         worst_dev = max(worst_dev, abs(fit.slope + 4.0))
         ok = ok and -5.0 <= fit.slope <= -3.0
-    elapsed = time.perf_counter() - start
-    return _result(check, ok and elapsed < 1.0, worst_dev, 1.0,
-                   f"max |slope+4|; slopes {', '.join(slopes)}; elapsed={elapsed:.3f}s")
+    return ok, worst_dev, 1.0, f"max |slope+4|; slopes {', '.join(slopes)}"
 
 
-def check_cdf_remainder_slope() -> CheckResult:
+@_check("cdf-remainder-slope", budget_s=1.0)
+def check_cdf_remainder_slope():
     """Third-order distribution remainder decays with ln-b slope in [-5, -3]."""
-    return _remainder_slope_check("cdf-remainder-slope", "cdf",
-                                  [(1.0, 0.0), (1.0, 1.0), (3.0, 0.0), (3.0, 1.0)])
+    return _remainder_slope("cdf", [(1.0, 0.0), (1.0, 1.0), (3.0, 0.0), (3.0, 1.0)])
 
 
-def check_pdf_remainder_slope() -> CheckResult:
+@_check("pdf-remainder-slope", budget_s=1.0)
+def check_pdf_remainder_slope():
     """Density remainder (varpi, tau construction) slope in [-5, -3]."""
-    return _remainder_slope_check("pdf-remainder-slope", "pdf",
-                                  [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
+    return _remainder_slope("pdf", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)])
 
 
-def check_order_improvement() -> CheckResult:
+@_check("order-improvement", budget_s=1.0)
+def check_order_improvement():
     """Sup-error over x in [-1.5, 4] strictly drops limit -> second -> third
     at n = 1e6 for t in {1, 2}, both cdf and pdf."""
-    start = time.perf_counter()
     xs = [-1.5 + 0.25 * i for i in range(23)]
     orders = [ApproxOrder.LIMIT, ApproxOrder.SECOND, ApproxOrder.THIRD]
     worst_ratio = 0.0
@@ -138,32 +132,24 @@ def check_order_improvement() -> CheckResult:
                 worst_ratio = max(worst_ratio, b / a)
             details.append(f"t={t:g} {target}: "
                            + "->".join(f"{s:.2e}" for s in sups))
-    elapsed = time.perf_counter() - start
-    ok = worst_ratio < 1.0 and elapsed < 1.0
-    return _result("order-improvement", ok, worst_ratio, 1.0,
-                   "; ".join(details) + f"; elapsed={elapsed:.3f}s")
+    return worst_ratio < 1.0, worst_ratio, 1.0, "; ".join(details)
 
 
-def check_t2_acceleration() -> CheckResult:
+@_check("t2-acceleration", budget_s=1e-3)
+def check_t2_acceleration():
     """At n = 1e6, x = 0 the adjusted t=2 constants beat the naive (c=2, d=b^2)
     ones by at least 5x in |exact_cdf - Lambda|, under 1 ms."""
-    norming_constants(1e6, 2.0)  # warm
-    start = time.perf_counter()
     lam = gumbel_cdf(0.0).value
     adjusted = abs(exact_cdf(norming_constants(1e6, 2.0), 0.0).value - lam)
     naive = abs(exact_cdf(naive_t2_constants(1e6), 0.0).value - lam)
-    elapsed = time.perf_counter() - start
     ratio = naive / adjusted
-    ok = ratio >= 5.0 and elapsed < 1e-3
-    return _result("t2-acceleration", ok, ratio, 5.0,
-                   f"naive/adjusted error ratio (pass when >= bound); "
-                   f"elapsed={elapsed * 1e3:.3f}ms")
+    return ratio >= 5.0, ratio, 5.0, "naive/adjusted error ratio (pass when >= bound)"
 
 
-def check_exact_self_consistency() -> CheckResult:
+@_check("exact-self-consistency", budget_s=1.0)
+def check_exact_self_consistency():
     """exact_pdf matches the central difference of exact_cdf to 1e-6 relative
     (where pdf > 1e-8) on [-1, 4] for (n, t) in {1e3, 1e6} x {0.5, 1, 2, 3}."""
-    start = time.perf_counter()
     worst = 0.0
     xs = [-1.0 + 0.25 * i for i in range(21)]
     for n in (1e3, 1e6):
@@ -176,32 +162,25 @@ def check_exact_self_consistency() -> CheckResult:
                     continue
                 diff = (exact_cdf(nc, x + h).value - exact_cdf(nc, x - h).value) / (2 * h)
                 worst = max(worst, abs(diff - pdf) / pdf)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 1.0
-    return _result("exact-self-consistency", ok, worst, 1e-6,
-                   f"max relative gap over 168 points; elapsed={elapsed:.3f}s")
+    return worst <= 1e-6, worst, 1e-6, "max relative gap over 168 points"
 
 
 MC_SEED = 42
 
 
-def check_monte_carlo() -> CheckResult:
+@_check("monte-carlo-ks", budget_s=60.0)
+def check_monte_carlo():
     """n=100, t=2, reps=1e6, fixed seed: KS vs exact law within the DKW band
     at alpha=0.001, and KS vs the Gumbel limit at least 0.01, under 60 s."""
-    start = time.perf_counter()
     nc = norming_constants(100, 2.0)
     sample = simulate_block_maxima(nc, 10 ** 6, MC_SEED)
     against_exact = ks_check(sample, "exact", alpha=0.001)
     against_limit = ks_check(sample, "limit", alpha=0.001)
-    elapsed = time.perf_counter() - start
-    ok = (against_exact.passed and against_limit.statistic >= 0.01
-          and elapsed < 60.0)
-    return _result("monte-carlo-ks", ok, against_exact.statistic,
-                   against_exact.bound,
-                   f"D_exact={against_exact.statistic:.6f} vs DKW "
-                   f"{against_exact.bound:.6f}; D_limit="
-                   f"{against_limit.statistic:.6f} (needs >= 0.01); "
-                   f"seed={MC_SEED}; elapsed={elapsed:.1f}s")
+    ok = against_exact.passed and against_limit.statistic >= 0.01
+    return (ok, against_exact.statistic, against_exact.bound,
+            f"D_exact={against_exact.statistic:.6f} vs DKW "
+            f"{against_exact.bound:.6f}; D_limit="
+            f"{against_limit.statistic:.6f} (needs >= 0.01); seed={MC_SEED}")
 
 
 # Documented command lines whose output must be byte-identical across runs.
@@ -225,24 +204,16 @@ def _run_cli(cmd: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def check_cli_determinism() -> CheckResult:
+@_check("cli-determinism")
+def check_cli_determinism():
     """Every documented command produces byte-identical output (and exit
     code) when invoked twice."""
-    mismatches = 0
-    checked = 0
-    details = []
-    for cmd in DETERMINISM_COMMANDS:
-        first = _run_cli(cmd)
-        second = _run_cli(cmd)
-        checked += 1
-        if first != second:
-            mismatches += 1
-            details.append(" ".join(cmd))
-    ok = mismatches == 0
-    detail = f"{checked} commands run twice each"
-    if details:
-        detail += "; mismatched: " + "; ".join(details)
-    return _result("cli-determinism", ok, float(mismatches), 0.0, detail)
+    mismatched = [" ".join(cmd) for cmd in DETERMINISM_COMMANDS
+                  if _run_cli(cmd) != _run_cli(cmd)]
+    detail = f"{len(DETERMINISM_COMMANDS)} commands run twice each"
+    if mismatched:
+        detail += "; mismatched: " + "; ".join(mismatched)
+    return not mismatched, float(len(mismatched)), 0.0, detail
 
 
 def run_all() -> list[CheckResult]:

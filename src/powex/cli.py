@@ -27,6 +27,11 @@ from .special_functions import mills_series_bound, mills_series_survival, surviv
 PRECISION_RESIDUALS = 12
 PRECISION_CONSTANTS = 5
 
+# A double's exact decimal expansion has at most 767 significant digits and
+# both formatting branches strip trailing zeros, so more digits print nothing
+# new; the ceiling keeps a huge --precision from allocating gigabytes.
+MAX_PRECISION = 800
+
 
 def format_number(value: float, precision: int) -> str:
     """Deterministic significant-digit formatting.
@@ -96,6 +101,8 @@ def _parse_precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if precision < 1:
         raise argparse.ArgumentTypeError(f"precision must be >= 1, got {precision}")
+    if precision > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be <= {MAX_PRECISION}, got {precision}")
     return precision
 
 
@@ -315,8 +322,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         lines.append(f"{r.status} {r.check}: "
                      f"measured={format_number(r.measured, 6)} "
                      f"bound={format_number(r.bound, 6)}")
-    summary = [{"check": r.check, "status": r.status,
-                "measured": r.measured, "bound": r.bound} for r in results]
+    summary = [r._asdict() for r in results]
     text = "\n".join(lines) + "\n" + json.dumps(summary, indent=2) + "\n"
     code = 0 if all(r.status == "PASS" for r in results) else 1
     return text, code

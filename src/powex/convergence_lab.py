@@ -13,13 +13,11 @@ import enum
 import math
 from typing import NamedTuple, Sequence
 
-from . import _lazy_submodule
+import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
 from .norming import NormingConstants, norming_constants, solve_b, transformed_quantile
 from .special_functions import gumbel_cdf, gumbel_pdf
-
-exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -121,10 +119,10 @@ def _scaled_gap_terms(nc: NormingConstants, x: float, target: str) -> tuple[floa
         raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
                           "the scaled error is undefined there")
     if target == "cdf":
-        gap = exact_law.exact_cdf(nc, x).value - gumbel_cdf(x).value
+        gap = powex.exact_law.exact_cdf(nc, x).value - gumbel_cdf(x).value
         err = nc.error_scale * gap / lam_pdf
         return err, co.k1, co.k2
-    err = nc.error_scale * (exact_law.exact_pdf(nc, x) / lam_pdf - 1.0)
+    err = nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0)
     return err, co.varpi, co.tau
 
 
@@ -148,9 +146,9 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     for nc in _grid_constants(t, x, n_grid):
         if scaling is Scaling.RAW:
             if target == "cdf":
-                res = cdf_approx(nc, x, order).unclamped - exact_law.exact_cdf(nc, x).value
+                res = cdf_approx(nc, x, order).unclamped - powex.exact_law.exact_cdf(nc, x).value
             else:
-                res = pdf_approx(nc, x, order).unfloored - exact_law.exact_pdf(nc, x)
+                res = pdf_approx(nc, x, order).unfloored - powex.exact_law.exact_pdf(nc, x)
         else:
             err, first, second = _scaled_gap_terms(nc, x, target)
             res = err - first

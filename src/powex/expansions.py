@@ -14,12 +14,10 @@ import enum
 import math
 from typing import NamedTuple
 
-from . import _lazy_submodule
+import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError
 from .norming import NormingConstants, _power_index, transformed_quantile
 from .special_functions import Probability, _require_finite, gumbel_cdf, gumbel_pdf
-
-exact_law = _lazy_submodule("exact_law")  # numpy and scipy load at its first call
 
 
 class ApproxOrder(enum.Enum):
@@ -111,7 +109,7 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     """
     order = ApproxOrder(order)
     if order is ApproxOrder.EXACT:
-        return exact_law.exact_cdf(nc, x)
+        return powex.exact_law.exact_cdf(nc, x)
     x = _require_finite(x)
     lam = gumbel_cdf(x)
     if order is ApproxOrder.LIMIT:
@@ -142,7 +140,7 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     """
     order = ApproxOrder(order)
     if order is ApproxOrder.EXACT:
-        return Density(value=exact_law.exact_pdf(nc, x))
+        return Density(value=powex.exact_law.exact_pdf(nc, x))
     x = _require_finite(x)
     lam_pdf = gumbel_pdf(x)
     if order is ApproxOrder.LIMIT:

@@ -130,9 +130,3 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     d = float(max(upper.max(), lower.max()))
     bound = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
     return KSResult(statistic=d, bound=bound, passed=d <= bound)
-
-
-def empirical_cdf(sample: SimSample, xs: np.ndarray) -> np.ndarray:
-    """Empirical distribution of the sample at the given points."""
-    sv = np.sort(sample.values)
-    return np.searchsorted(sv, np.asarray(xs, dtype=float), side="right") / sample.reps

@@ -216,6 +216,21 @@ class TestUsageErrors:
         assert (code, err) == (0, "")
         assert out == "n,t,b,c,d\n1e+06,1,5,0.2,5\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["norming", "--n", "1e6", "--t", "0.5"],
+        ["mills", "--x", "5:20:5"],
+    ])
+    def test_precision_ceiling(self, argv):
+        # a double has at most 767 significant decimal digits, so the
+        # ceiling prints every digit there is in both notations
+        code, out, err = run_cli(argv + ["--precision", "800"])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(argv + ["--precision", "767"])
+        code, out, err = run_cli(argv + ["--precision", "801"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.strip().split("\n")[-1].endswith("precision must be <= 800, got 801")
+
 
 class TestTableVerb:
     def test_default_orders(self):

@@ -13,7 +13,6 @@ from powex import (
     DomainError,
     ResourceError,
     SimSample,
-    empirical_cdf,
     ks_check,
     norming_constants,
     simulate_block_maxima,
@@ -157,19 +156,3 @@ class TestKsCheck:
         res_limit = ks_check(sample, "limit", alpha=0.001)
         assert res_limit.statistic > res.statistic
         assert res_limit.statistic > 0.01
-
-
-class TestEmpiricalCdf:
-    def test_small_sample(self):
-        nc = norming_constants(1000.0, 1.0)
-        sample = SimSample(nc=nc, reps=3, seed=0, values=np.array([1.0, 2.0, 3.0]))
-        got = empirical_cdf(sample, np.array([0.5, 1.0, 2.5, 3.0, 4.0]))
-        assert got.tolist() == [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 1.0]
-
-    def test_matches_ks_internals(self):
-        nc = norming_constants(100.0, 2.0)
-        sample = simulate_block_maxima(nc, 2000, 3)
-        xs = np.linspace(-2.0, 4.0, 50)
-        emp = empirical_cdf(sample, xs)
-        assert np.all((0.0 <= emp) & (emp <= 1.0))
-        assert np.all(np.diff(emp) >= 0.0)

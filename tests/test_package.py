@@ -90,10 +90,6 @@ def test_export_is_the_defining_module_object(name):
 
 def test_submodules_and_star_import():
     assert powex.exact_cdf is powex.exact_law.exact_cdf
-    from powex import convergence_lab, exact_law, expansions
-    # the lazily bound exact_law is the one module object
-    assert expansions.exact_law is exact_law
-    assert convergence_lab.exact_law is exact_law
     namespace: dict = {}
     exec("from powex import *", namespace)
     assert {k for k in namespace if not k.startswith("__")} == set(powex.__all__)
