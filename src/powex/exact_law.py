@@ -10,7 +10,8 @@ Everything is evaluated in log-domain: Phi^n at n = 1e12 is meaningless in
 naive arithmetic. This module is the ground-truth oracle for all expansions.
 
 log F_n = n*log(Phi) + log(1 - e^delta) with delta = n*log((1 - Phi)/Phi).
-In the bulk delta is a difference of two log_ndtr values and the last term
+One log_ndtr per point gives log Phi, and log(1 - Phi) = log(-expm1(log Phi))
+keeps full relative accuracy since Phi >= 1/2. In the bulk the last term is
 log1p(-e^delta). Near x_min = -d/c both logs tend to -ln 2 and cancel, so
 where delta > -ln 2 it is -2n*atanh(erf(g/sqrt(2))) and the last term
 log(-expm1(delta)) (Maechler, "Accurately computing log(1 - exp(-|a|))",
@@ -47,17 +48,17 @@ class _ArrayOps:
 
     @classmethod
     def branch(cls, cond, if_true, if_false, *args):
-        with np.errstate(divide="ignore"):  # log 0 = -inf: overwritten, or F = 0
-            out = if_false(cls, *args)
-            if cond.any():
-                out[cond] = if_true(cls, *(a[cond] if np.ndim(a) else a for a in args))
+        out = if_false(cls, *args)
+        if cond.any():
+            out[cond] = if_true(cls, *(a[cond] if np.ndim(a) else a for a in args))
         return out
 
 
 def _log_cdf(ops, n: float, g):
     """log F_n at transformed quantiles g > 0, in the arithmetic of ``ops``."""
     log_phi = ops.native(ops.log_ndtr(g))
-    delta = n * (ops.native(ops.log_ndtr(-g)) - log_phi)
+    # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 38.5); F_n = 1 there
+    delta = n * (ops.log(-ops.expm1(log_phi)) - log_phi)
     return ops.branch(delta > -_LN2, _log_cdf_boundary, _log_cdf_bulk, n, g, log_phi, delta)
 
 
@@ -111,5 +112,6 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     arg = nc.c * xs + nc.d
     out = np.zeros(xs.shape)
     ok = arg > 0.0
-    out[ok] = np.exp(_log_cdf(_ArrayOps, nc.n, arg[ok] ** (1.0 / nc.t)))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: overwritten, or F = 0
+        out[ok] = np.exp(_log_cdf(_ArrayOps, nc.n, arg[ok] ** (1.0 / nc.t)))
     return out

@@ -191,6 +191,7 @@ class TestSupportBoundary:
            st.one_of(st.floats(min_value=0.0, max_value=1e-9),
                      st.floats(min_value=0.0, max_value=20.0)))
     @example(log_n=math.log(10.0), t=0.5, dx=0.0)
+    @example(log_n=1.0, t=0.5, dx=9.0)  # g > 38.5: log(1 - Phi) = log 0 in the array path
     def test_finite_on_the_support(self, log_n, t, dx):
         # anything but PowexError (or a RuntimeWarning) is a bug here
         try:

@@ -1,7 +1,10 @@
 """Seeded simulation of powered block maxima and the KS/DKW machinery."""
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +63,79 @@ class TestSimulate:
         z = ndtri(rng.random((reps, n)))
         want = (np.abs(z.max(axis=1)) ** t - nc.d) / nc.c
         assert sample.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_frozen_first_draws_for_any_worker_count(self, monkeypatch, workers):
+        # 100 draws per chunk target: up to five one-replicate chunks
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 100)
+        sample = simulate_block_maxima(norming_constants(100.0, 2.0), 5, 42)
+        assert sample.values.tolist() == list(oracles.SIM_N100_T2_R5_S42)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n,reps,chunk_draws,every_offset_mod_4", [
+        (7, 40, 21, True),  # odd chunk lengths: chunks start at every first % 4
+        (13, 40, 50, True),
+        (16, 30, 100, False),  # column-loop row max, the largest n that uses it
+        (17, 30, 100, False),  # max(axis=1)
+        (7, 3, 5, False),  # fewer replicates than workers: one chunk each
+    ])
+    def test_bytes_do_not_depend_on_worker_count(
+            self, monkeypatch, workers, n, reps, chunk_draws, every_offset_mod_4):
+        # the worker count is forced past the host's cores and threads switch
+        # often; each chunk must be filled exactly once, by its own worker,
+        # and the bytes must equal one pass over the whole stream
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", chunk_draws)
+        fill_chunk = powex.montecarlo._fill_chunk
+        filled = []
+
+        def recording_fill_chunk(dst, buffer, first, seed, nc):
+            filled.append((first, len(dst), threading.current_thread()))
+            fill_chunk(dst, buffer, first, seed, nc)
+
+        monkeypatch.setattr(powex.montecarlo, "_fill_chunk", recording_fill_chunk)
+        t, seed = 2.0, 2 ** 63 + 5
+        nc = norming_constants(float(n), t)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample = simulate_block_maxima(nc, reps, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        z = ndtri(rng.random((reps, n)))
+        want = (np.abs(z.max(axis=1)) ** t - nc.d) / nc.c
+        assert sample.values.tobytes() == want.tobytes()
+        firsts = sorted(first for first, _, _ in filled)
+        assert len(set(firsts)) == len(firsts)
+        assert sum(k for _, k, _ in filled) == reps
+        assert len({thread for _, _, thread in filled}) == min(workers, reps)
+        if every_offset_mod_4:
+            assert {first % 4 for first in firsts} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("error", [RuntimeError("ndtri failed"), KeyboardInterrupt()])
+    def test_failure_stops_every_worker(self, monkeypatch, error):
+        # two workers, 1000 one-replicate chunks; the second ndtri call
+        # raises, which must reach the caller as the same object, and each
+        # worker finishes at most the chunk it is in
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 20)
+        calls = itertools.count(1)
+        made = []
+
+        def failing_ndtri(u, out=None):
+            call = next(calls)
+            made.append(call)
+            if call == 2:
+                raise error
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(powex.montecarlo, "ndtri", failing_ndtri)
+        with pytest.raises(type(error)) as excinfo:
+            simulate_block_maxima(norming_constants(10.0, 1.0), 1000, 3)
+        assert excinfo.value is error
+        assert len(made) <= 2 + 2
 
     def test_prefix_stability_across_reps(self):
         # extending the replicate count extends the stream, it does not
