@@ -306,8 +306,10 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     nc = norming_constants(args.n, args.t)
     sample = simulate_block_maxima(nc, int(reps), args.seed)
     if args.format == "json":
-        return json.dumps([{"value": float(v)} for v in sample.values],
-                          indent=2) + "\n"
+        # the text of json.dumps([{"value": v}, ...], indent=2), written
+        # directly: the values are finite, so each is its repr
+        return "[\n" + ",\n".join(f'  {{\n    "value": {v!r}\n  }}'
+                                   for v in sample.values.tolist()) + "\n]\n"
     lines = ["value"]
     lines.extend(format_number(v, args.precision) for v in sample.values)
     return "\n".join(lines) + "\n"

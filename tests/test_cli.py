@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import oracles
-from powex import cli, convergence_lab, norming_constants, transformed_quantile
+from powex import (
+    cli,
+    convergence_lab,
+    norming_constants,
+    simulate_block_maxima,
+    transformed_quantile,
+)
 from powex.cli import (
     _merge_negative_args,
     emit_table,
@@ -301,11 +307,22 @@ class TestOverflowRefused:
          "Gumbel density underflows"),
         (["rates", "--t", "1", "--x", "800", "--n-grid", "1e3:1e5:10", "--target", "pdf"],
          "Gumbel density underflows"),
+        # |M_n|^t overflows for some replicates: printed inf (Infinity in JSON)
+        (["simulate", "--n", "100", "--t", "700", "--reps", "2000", "--seed", "1"],
+         "overflows"),
+        (["simulate", "--n", "100", "--t", "700", "--reps", "2000", "--seed", "1",
+          "--format", "json"], "overflows"),
     ])
     def test_domain_error(self, argv, what):
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and what in err
+
+    def test_simulate_overflow_is_one_error_line(self):
+        code, out, err = run_cli(["simulate", "--n", "100", "--t", "700",
+                                  "--reps", "2000", "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert err == "error: simulated (|M_n|^t - d)/c overflows at n=100, t=700.0\n"
 
 
 class TestRatesVerb:
@@ -377,6 +394,16 @@ class TestSimulateVerb:
         data = json.loads(out)
         assert [d["value"] for d in data] == pytest.approx(
             [-0.23675718414510918, -0.5098823801890175, -0.51647809157174], rel=1e-15)
+
+    def test_json_is_the_text_of_json_dumps(self):
+        # the JSON is written directly, value by value; it must be the
+        # text json.dumps gives for the same records
+        code, out, _ = run_cli(["simulate", "--n", "10", "--t", "0.5",
+                                "--reps", "2000", "--seed", "3", "--format", "json"])
+        assert code == 0
+        sample = simulate_block_maxima(norming_constants(10.0, 0.5), 2000, 3)
+        want = json.dumps([{"value": v} for v in sample.values.tolist()], indent=2)
+        assert out == want + "\n"
 
     def test_non_integer_reps(self):
         code, _, err = run_cli(["simulate", "--n", "100", "--t", "1", "--reps", "2.5"])

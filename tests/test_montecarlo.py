@@ -20,6 +20,7 @@ from powex import (
     norming_constants,
     simulate_block_maxima,
 )
+from powex.exact_law import exact_cdf_values
 
 
 class TestSimulate:
@@ -116,7 +117,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("error", [RuntimeError("ndtri failed"), KeyboardInterrupt()])
     def test_failure_stops_every_worker(self, monkeypatch, error):
-        # two workers, 1000 one-replicate chunks; the second ndtri call
+        # two workers, 500 two-replicate chunks; the second ndtri call
         # raises, which must reach the caller as the same object, and each
         # worker finishes at most the chunk it is in
         monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
@@ -136,6 +137,19 @@ class TestSimulate:
             simulate_block_maxima(norming_constants(10.0, 1.0), 1000, 3)
         assert excinfo.value is error
         assert len(made) <= 2 + 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_refused(self, monkeypatch, workers):
+        # |M_100|^700 overflows for about a quarter of the replicates; the
+        # power must not warn (RuntimeWarnings are errors here) and the
+        # DomainError must reach the caller from whichever worker saw it
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 10 ** 4)
+        with pytest.raises(DomainError, match="overflows"):
+            simulate_block_maxima(norming_constants(100.0, 700.0), 2000, 1)
+        # the same t is fine where no replicate overflows
+        sample = simulate_block_maxima(norming_constants(100.0, 700.0), 3, 1)
+        assert np.isfinite(sample.values).all()
 
     def test_prefix_stability_across_reps(self):
         # extending the replicate count extends the stream, it does not
@@ -232,3 +246,97 @@ class TestKsCheck:
         res_limit = ks_check(sample, "limit", alpha=0.001)
         assert res_limit.statistic > res.statistic
         assert res_limit.statistic > 0.01
+
+
+def single_pass_statistic(sample: SimSample, reference: str) -> float:
+    """The KS statistic as one pass over the whole sorted sample."""
+    sv = np.sort(sample.values)
+    n = sample.reps
+    if reference == "exact":
+        ref = exact_cdf_values(sample.nc, sv)
+    else:
+        ref = np.exp(-np.exp(-sv))
+    upper = np.arange(1, n + 1) / n - ref
+    lower = ref - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
+
+
+class TestKsChunks:
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return simulate_block_maxima(norming_constants(10.0, 1.0), 12000, 7)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("chunk", [3000, 4096, 777, 20000])
+    @pytest.mark.parametrize("reference", ["exact", "limit"])
+    def test_bits_do_not_depend_on_threads_or_chunks(
+            self, monkeypatch, sample, workers, chunk, reference):
+        # chunks that divide reps, that do not, many small ones, and one
+        # larger than reps; the worker count is forced past the host's cores
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", chunk)
+        reference_cdf = powex.montecarlo._reference_cdf
+        seen = []
+
+        def recording_reference_cdf(sample, reference, xs):
+            seen.append((len(xs), threading.current_thread()))
+            return reference_cdf(sample, reference, xs)
+
+        monkeypatch.setattr(powex.montecarlo, "_reference_cdf", recording_reference_cdf)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = ks_check(sample, reference, alpha=0.001)
+        finally:
+            sys.setswitchinterval(interval)
+        want = single_pass_statistic(sample, reference)
+        assert res.statistic.hex() == want.hex()
+        chunks = -(-sample.reps // chunk)
+        assert len(seen) == chunks and sum(k for k, _ in seen) == sample.reps
+        assert len({thread for _, thread in seen}) == min(workers, chunks)
+
+    @pytest.mark.parametrize("reference", ["exact", "limit"])
+    def test_nan_in_the_last_chunk(self, monkeypatch, sample, reference):
+        # the sort puts a NaN last, so only the last chunk sees it; D must be
+        # what one pass gives (NaN against the limit, whose CDF is NaN there)
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", 1000)
+        values = sample.values.copy()
+        values[5] = np.nan
+        with_nan = sample._replace(values=values)
+        res = ks_check(with_nan, reference, alpha=0.001)
+        assert res.statistic.hex() == single_pass_statistic(with_nan, reference).hex()
+        assert math.isnan(res.statistic) == (reference == "limit")
+
+    def test_verify_sample_bits(self):
+        # the sample of the monte-carlo-ks verify check: D as frozen before
+        # the KS check was chunked
+        sample = simulate_block_maxima(norming_constants(100.0, 2.0), 10 ** 6, 42)
+        assert ks_check(sample, "exact", alpha=0.001).statistic.hex() == \
+            "0x1.1282d39783f80p-11"
+        assert ks_check(sample, "limit", alpha=0.001).statistic.hex() == \
+            "0x1.383b91f371820p-5"
+
+    @pytest.mark.parametrize("error", [RuntimeError("reference failed"), KeyboardInterrupt()])
+    def test_failure_stops_every_worker(self, monkeypatch, sample, error):
+        # two workers, 1200 chunks of 10 points; the second reference call
+        # raises, which must reach the caller as the same object, and each
+        # worker finishes at most the chunk it is in
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", 10)
+        reference_cdf = powex.montecarlo._reference_cdf
+        calls = itertools.count(1)
+        made = []
+
+        def failing_reference_cdf(sample, reference, xs):
+            call = next(calls)
+            made.append(call)
+            if call == 2:
+                raise error
+            return reference_cdf(sample, reference, xs)
+
+        monkeypatch.setattr(powex.montecarlo, "_reference_cdf", failing_reference_cdf)
+        with pytest.raises(type(error)) as excinfo:
+            ks_check(sample, "limit", alpha=0.001)
+        assert excinfo.value is error
+        assert len(made) <= 2 + 2
