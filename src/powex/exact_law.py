@@ -106,12 +106,13 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
 
     Points with c*x + d <= 0 get 0.0: the statistic (|M_n|^t - d)/c cannot
     fall below -d/c, so the true distribution function vanishes there. This
-    extension (rather than an error) is what a reference CDF needs.
+    extension (rather than an error) is what a reference CDF needs. NaN
+    points get NaN.
     """
     xs = np.asarray(xs, dtype=float)
     arg = nc.c * xs + nc.d
     out = np.zeros(xs.shape)
-    ok = arg > 0.0
+    ok = ~(arg <= 0.0)  # a NaN point goes through the kernel and stays NaN
     with np.errstate(divide="ignore"):  # log 0 = -inf: overwritten, or F = 0
         out[ok] = np.exp(_log_cdf(_ArrayOps, nc.n, arg[ok] ** (1.0 / nc.t)))
     return out

@@ -2,19 +2,32 @@
 transform and normalization, and test the empirical law against the exact
 law and the Gumbel limit.
 
-Block maxima come from a counter-based (Philox) uniform stream: each
-replicate takes the maximum of its n uniforms and maps it through the
-inverse normal CDF, Phi^{-1}(max U) = max Phi^{-1}(U), so there is one
-inverse-normal call per replicate rather than one per draw. The sample is
-generated in chunks of replicates. Philox is counter-based, so each chunk
-jumps straight to its own position in the stream and fills its slice of the
-output in place; chunks run on up to min(usable CPUs, chunks) threads
-(numpy and scipy release the GIL), with one reused uniform buffer per thread
-of about 1 MB, small enough to stay in a core's L2 cache. A fixed
-(n, t, reps, seed) reproduces byte-identical samples for any chunk size and
-any thread count. Simulation targets moderate n; the exact law covers huge n.
-The KS check runs on the same chunk runner, over cache-sized slices of the
-sorted sample, and gives the same statistic for any thread count.
+Block maxima come from a counter-based (Philox) stream of 64-bit words;
+numpy's uniform double from a word w is (w >> 11) * 2**-53, which is
+monotone in w. So each replicate takes the maximum of its n raw words, and
+only that maximum becomes a double and goes through the inverse normal CDF,
+Phi^{-1}(max U) = max Phi^{-1}(U): one conversion and one inverse-normal
+call per replicate rather than one per draw, with the bits of transforming
+every uniform. The sample is generated in chunks of replicates. Philox is
+counter-based, so each chunk jumps straight to its own position in the
+stream and fills its slice of the output in place; chunks run on up to
+min(usable CPUs, chunks) threads (numpy and scipy release the GIL), each
+chunk's words about 1 MB, small enough to stay in a core's L2 cache. A
+fixed (n, t, reps, seed) reproduces byte-identical samples for any chunk
+size and any thread count. Simulation targets moderate n; the exact law
+covers huge n.
+
+The KS check sorts the sample once and evaluates the reference CDF F only
+where the KS gap can reach its maximum D. It first takes F at knots, every
+``_KS_STRIDE``-th sorted point and the last one. Because F is monotone, a
+point strictly between knots a < b has gaps at most
+reach = max(b/n - F(x_(a)), F(x_(b)) - (a+1)/n), and a block whose reach,
+plus ``_KS_MARGIN``, stays below the largest gap at the knots cannot hold
+D. Only the other blocks are evaluated point by point; on the samples of a
+typical run that is a few percent of the points. D has the bits of one
+pass over every point: the gaps are the same float expressions, and float
+subtraction and division are monotone, so a skipped point's computed gap is
+at most its block's computed reach.
 
 The identity max Phi^{-1}(U) = Phi^{-1}(max U) holds exactly only where
 ``scipy.special.ndtri`` is monotone in floating point. scipy 1.17's ndtri
@@ -48,20 +61,31 @@ MAX_TOTAL_DRAWS = 10 ** 10
 # draw budget and still ask for far more (n=2, reps=5e9 would be 40 GB).
 MAX_REPS = 10 ** 7
 
-# Uniform draws per chunk: each of W threads fills chunks of
-# _CHUNK_TARGET_DRAWS // n replicates in its own reused (k, n) float64
-# buffer, about 1 MB, which stays in L2 while the row max reads it n times.
-# A chunk is addressed by its Philox position, so chunk size and thread
-# count are memory and speed knobs only: values are identical for any of them.
+# Words per chunk: each of W threads fills chunks of _CHUNK_TARGET_DRAWS // n
+# replicates, whose (k, n) uint64 words, about 1 MB, stay in L2 while the
+# row max reads them n times; each thread keeps one (k,) uint64 buffer for
+# the row maxima. A chunk is addressed by its Philox position, so chunk size
+# and thread count are memory and speed knobs only: values are identical for
+# any of them.
 _CHUNK_TARGET_DRAWS = 2 ** 17
 
-# Sorted points per ks_check chunk: the reference CDF and the two gaps of a
-# chunk are 256 kB temporaries each. The statistic is the same for any size.
-_KS_CHUNK = 2 ** 15
+# Knot spacing of ks_check; D is the same for any stride. At 32 the
+# reference sees 3-5% of the points of a 2e5-replicate sample (6-7% at 16),
+# and 32 was the fastest fixed stride at 2e5 and 1e6 replicates, where the
+# time goes; strides growing with reps were no faster (BENCH_9.json).
+_KS_STRIDE = 32
 
-# Above this block size the row max is one max(axis=1); at or below it a
-# column loop of np.maximum is faster (3.9 vs 6.8 ms on (1e5, 10) uniforms
-# on a 2-core x86-64 host, even near n = 16). Both give the same bits.
+# Slack on the block bound for an ulp-level decrease of the float reference
+# CDF; both references are accurate to about 1e-13, and none was seen to
+# decrease between sorted points.
+_KS_MARGIN = 2.0 ** -30
+
+# Above this block size the row max is one max(axis=1), at or below it a
+# column loop of np.maximum; both give the same bits. On the uint64 words of
+# one chunk (2-core x86-64 host) the loop wins up to about n = 40: 0.17 vs
+# 0.47 ms at n = 16, 0.14 vs 0.35 at 17, 0.21 vs 0.23 at 32, 0.22 vs 0.16
+# at 48. The switch stays at 16, the boundary the worker-count tests pin;
+# no workload has 16 < n <= 40.
 _COLUMN_MAX_N = 16
 
 
@@ -113,7 +137,7 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     chunk = max(1, _CHUNK_TARGET_DRAWS // n)
     workers = min(_usable_cpus(), -(-reps // chunk))
     out = np.empty(reps)
-    buffers = [np.empty((min(chunk, reps), n)) for _ in range(workers)]
+    buffers = [np.empty(min(chunk, reps), np.uint64) for _ in range(workers)]
 
     def fill(w: int, pos: int, stop: int) -> None:
         _fill_chunk(out[pos:stop], buffers[w], pos * n, seed, nc)
@@ -171,19 +195,23 @@ def _usable_cpus() -> int:
 def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, first: int, seed: int,
                 nc: NormingConstants) -> None:
     """Fill ``dst`` with the replicates whose uniforms start at draw ``first``
-    of the seed's Philox stream, in place, using ``buffer`` for the uniforms."""
-    k, n = len(dst), buffer.shape[1]
+    of the seed's Philox stream, in place, using ``buffer`` for the row max
+    of the raw words."""
+    k, n = len(dst), int(nc.n)
     bit_generator = np.random.Philox(key=seed)
-    bit_generator.advance(first // 4)  # one counter step yields four draws
-    rng = np.random.Generator(bit_generator)
-    rng.random(first % 4)  # the draws of that step that precede ``first``
-    u = rng.random(out=buffer[:k])
+    bit_generator.advance(first // 4)  # one counter step yields four words
+    bit_generator.random_raw(first % 4, output=False)  # the words before ``first``
+    words = bit_generator.random_raw(k * n).reshape(k, n)
+    top = buffer[:k]
     if n <= _COLUMN_MAX_N:
-        np.copyto(dst, u[:, 0])
+        np.copyto(top, words[:, 0])
         for j in range(1, n):
-            np.maximum(dst, u[:, j], out=dst)
+            np.maximum(top, words[:, j], out=top)
     else:
-        u.max(axis=1, out=dst)
+        words.max(axis=1, out=top)
+    # numpy's Philox double is (word >> 11) * 2**-53, monotone in the word
+    np.right_shift(top, 11, out=top)
+    np.multiply(top, 2.0 ** -53, out=dst)
     ndtri(dst, out=dst)
     np.abs(dst, out=dst)
     with np.errstate(over="ignore"):  # refused below
@@ -209,10 +237,11 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     with the distribution-free DKW band sqrt(ln(2/alpha)/(2*reps)).
 
     ``reference`` is 'exact' (the finite-n law) or 'limit' (Gumbel).
-    Needs reps >= 1000 for the band to mean anything. The sorted sample is
-    compared in chunks of ``_KS_CHUNK`` points on up to min(usable CPUs,
-    chunks) threads; D is the largest chunk maximum, the same bits for any
-    thread count or chunk size.
+    Needs reps >= 1000 for the band to mean anything. D is the largest of
+    the gaps (i+1)/n - F(x_(i)) and F(x_(i)) - i/n over the sorted sample,
+    with the bits of one pass over every point, but F is evaluated only at
+    the knots and in the blocks between them whose bound can reach D (see
+    the module docstring). A NaN in the sample gives D = NaN.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
@@ -221,16 +250,21 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
         raise DomainError(f"ks_check needs reps >= 1000, got {sample.reps}")
     sv = np.sort(sample.values)
     n = sample.reps
-    chunk = _KS_CHUNK
-    slots = np.empty(-(-n // chunk))
-
-    def fill(w: int, pos: int, stop: int) -> None:
-        ref = _reference_cdf(sample, reference, sv[pos:stop])
-        upper = np.arange(pos + 1, stop + 1) / n - ref
-        lower = ref - np.arange(pos, stop) / n
-        slots[pos // chunk] = max(upper.max(), lower.max())
-
-    _run_chunks(fill, n, chunk, min(_usable_cpus(), len(slots)))
-    d = float(slots.max())  # a NaN in any chunk makes D NaN, as in one pass
+    knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    f = _reference_cdf(sample, reference, sv[knots])
+    d = _largest_gap(knots, f, n)
+    if not math.isnan(d):  # the sort puts a NaN last, at a knot
+        a, b = knots[:-1], knots[1:]
+        reach = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
+        inside = np.repeat(reach + _KS_MARGIN >= d, np.diff(knots))
+        inside[a] = False  # the knots themselves are done
+        points = np.flatnonzero(inside)
+        if len(points):
+            d = max(d, _largest_gap(points, _reference_cdf(sample, reference, sv[points]), n))
     bound = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
     return KSResult(statistic=d, bound=bound, passed=d <= bound)
+
+
+def _largest_gap(points: np.ndarray, f: np.ndarray, n: int) -> float:
+    """The larger one-sided KS gap at sorted positions ``points``, F = ``f``."""
+    return float(max(((points + 1) / n - f).max(), (f - points / n).max()))

@@ -228,6 +228,15 @@ class TestExactCdfValues:
         assert vec[1] == 0.0
         assert vec[2] > 0.0
 
+    def test_nan_point_is_nan(self):
+        # a NaN is not below the support: it maps to NaN, and the points
+        # around it keep their bits
+        nc = norming_constants(1000.0, 2.0)
+        xs = np.array([-0.5, 0.0, 1.0, 3.0])
+        with_nan = exact_cdf_values(nc, np.insert(xs, 2, np.nan))
+        assert math.isnan(with_nan[2])
+        assert np.delete(with_nan, 2).tobytes() == exact_cdf_values(nc, xs).tobytes()
+
     def test_empty_and_shape(self):
         nc = norming_constants(1000.0, 1.0)
         assert exact_cdf_values(nc, np.array([])).shape == (0,)

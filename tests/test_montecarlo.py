@@ -266,15 +266,9 @@ class TestKsChunks:
     def sample(self):
         return simulate_block_maxima(norming_constants(10.0, 1.0), 12000, 7)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("chunk", [3000, 4096, 777, 20000])
-    @pytest.mark.parametrize("reference", ["exact", "limit"])
-    def test_bits_do_not_depend_on_threads_or_chunks(
-            self, monkeypatch, sample, workers, chunk, reference):
-        # chunks that divide reps, that do not, many small ones, and one
-        # larger than reps; the worker count is forced past the host's cores
-        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", chunk)
+    @staticmethod
+    def record_reference_calls(monkeypatch):
+        """Patch the reference CDF to log (points, thread) of every call."""
         reference_cdf = powex.montecarlo._reference_cdf
         seen = []
 
@@ -283,30 +277,75 @@ class TestKsChunks:
             return reference_cdf(sample, reference, xs)
 
         monkeypatch.setattr(powex.montecarlo, "_reference_cdf", recording_reference_cdf)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            res = ks_check(sample, reference, alpha=0.001)
-        finally:
-            sys.setswitchinterval(interval)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("chunk", [3000, 4096, 777, 20000])
+    @pytest.mark.parametrize("reference", ["exact", "limit"])
+    def test_bits_do_not_depend_on_threads_or_chunks(
+            self, monkeypatch, sample, workers, chunk, reference):
+        # blocks between knots that divide reps, that do not, and one
+        # larger than reps; the CPU count is forced past the host's cores,
+        # and the check still starts no thread
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_KS_STRIDE", chunk)
+        seen = self.record_reference_calls(monkeypatch)
+        res = ks_check(sample, reference, alpha=0.001)
         want = single_pass_statistic(sample, reference)
         assert res.statistic.hex() == want.hex()
-        chunks = -(-sample.reps // chunk)
-        assert len(seen) == chunks and sum(k for k, _ in seen) == sample.reps
-        assert len({thread for _, thread in seen}) == min(workers, chunks)
+        knots = -(-(sample.reps - 1) // chunk) + 1
+        assert seen[0][0] == knots and len(seen) <= 2
+        assert sum(k for k, _ in seen) <= sample.reps
+        assert {thread for _, thread in seen} == {threading.current_thread()}
+
+    @pytest.fixture(scope="class")
+    def long_sample(self):
+        return simulate_block_maxima(norming_constants(10.0, 1.0), 20000, 7)
+
+    @pytest.mark.parametrize("stride", [2, 3, 16, 20001])
+    @pytest.mark.parametrize("reps", [1000, 1001, 1023, 1024, 1025, 20000])
+    @pytest.mark.parametrize("kind", ["on-law", "off-law", "ties"])
+    @pytest.mark.parametrize("reference", ["exact", "limit"])
+    def test_bits_match_one_pass(self, monkeypatch, long_sample, stride, reps, kind,
+                                 reference):
+        # strides that leave one or two points between knots, a short
+        # stride and one block for everything; reps on either side of a
+        # power of two, so the last block is short, full or one point long.
+        # Off the law (a t = 1 sample against the t = 2 law) D is large;
+        # rounded values put ties at and between knots
+        monkeypatch.setattr(powex.montecarlo, "_KS_STRIDE", stride)
+        sample = long_sample._replace(reps=reps, values=long_sample.values[:reps])
+        if kind == "off-law":
+            sample = sample._replace(nc=norming_constants(10.0, 2.0))
+        elif kind == "ties":
+            sample = sample._replace(values=np.round(sample.values, 2))
+        res = ks_check(sample, reference, alpha=0.001)
+        assert res.statistic.hex() == single_pass_statistic(sample, reference).hex()
+        if kind == "off-law" and reference == "exact":
+            assert res.statistic > 0.3
+
+    def test_reference_sees_few_points(self, monkeypatch):
+        # the work the pruning saves, on the largest sample of an
+        # mc_crosscheck op
+        sample = simulate_block_maxima(norming_constants(10.0, 2.0), 200000, 7)
+        seen = self.record_reference_calls(monkeypatch)
+        for reference in ("exact", "limit"):
+            seen.clear()
+            ks_check(sample, reference, alpha=1e-6)
+            assert sum(k for k, _ in seen) < 0.15 * sample.reps
 
     @pytest.mark.parametrize("reference", ["exact", "limit"])
     def test_nan_in_the_last_chunk(self, monkeypatch, sample, reference):
-        # the sort puts a NaN last, so only the last chunk sees it; D must be
-        # what one pass gives (NaN against the limit, whose CDF is NaN there)
-        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", 1000)
+        # the sort puts a NaN last, at the last knot: D is NaN against
+        # either reference, as in one pass, and no block is evaluated
         values = sample.values.copy()
         values[5] = np.nan
         with_nan = sample._replace(values=values)
+        seen = self.record_reference_calls(monkeypatch)
         res = ks_check(with_nan, reference, alpha=0.001)
+        assert math.isnan(res.statistic) and not res.passed
         assert res.statistic.hex() == single_pass_statistic(with_nan, reference).hex()
-        assert math.isnan(res.statistic) == (reference == "limit")
+        assert len(seen) == 1
 
     def test_verify_sample_bits(self):
         # the sample of the monte-carlo-ks verify check: D as frozen before
@@ -319,11 +358,11 @@ class TestKsChunks:
 
     @pytest.mark.parametrize("error", [RuntimeError("reference failed"), KeyboardInterrupt()])
     def test_failure_stops_every_worker(self, monkeypatch, sample, error):
-        # two workers, 1200 chunks of 10 points; the second reference call
-        # raises, which must reach the caller as the same object, and each
-        # worker finishes at most the chunk it is in
+        # the check runs on the calling thread even with two CPUs; the
+        # second reference call (the blocks after the knots) raises, which
+        # must reach the caller as the same object, with no call after it
         monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(powex.montecarlo, "_KS_CHUNK", 10)
+        monkeypatch.setattr(powex.montecarlo, "_KS_STRIDE", 10)
         reference_cdf = powex.montecarlo._reference_cdf
         calls = itertools.count(1)
         made = []
@@ -339,4 +378,4 @@ class TestKsChunks:
         with pytest.raises(type(error)) as excinfo:
             ks_check(sample, "limit", alpha=0.001)
         assert excinfo.value is error
-        assert len(made) <= 2 + 2
+        assert made == [1, 2]
