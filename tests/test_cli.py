@@ -526,6 +526,38 @@ RATES_ROWS = [
 ]
 
 
+# The same locks at n = 1000 on the t = 2 branch and at t = 0.5, frozen
+# before the scalar expansions shared one e^{-x} and one coefficient pass.
+TABLE_T2_CDF_ROWS = [
+    (0.0, 0.36787944117144233, 0.354208981759268, 0.3599775367890298, 0.3575440412589511),
+    (0.5, 0.545239211892605, 0.526805674205569, 0.5351267982752075, 0.5316948308966682),
+    (1.0, 0.6922006275553464, 0.6719234120180386, 0.6818594753447987, 0.6776598609254733),
+    (1.5, 0.8000107130043536, 0.7805845292440209, 0.7909997176084878, 0.7864019122368696),
+    (2.0, 0.8734230184931167, 0.8564804603263061, 0.8664377402337154, 0.8618219079982753),
+]
+TABLE_T2_PDF_ROWS = [
+    (0.0, 0.36787944117144233, 0.35616190453243574, 0.361796307119645, 0.35971591582812695),
+    (0.5, 0.3307042988904181, 0.3239127306607948, 0.3282361715262478, 0.3264030722009036),
+    (1.0, 0.2546463800435825, 0.2539458811689741, 0.2560225277093758, 0.25483248782997814),
+    (1.5, 0.17850651851312094, 0.182226710139743, 0.1821421404781996, 0.18174137085244388),
+    (2.0, 0.11820495159314313, 0.12406955369112718, 0.12244287254778713, 0.12274300763484948),
+]
+TABLE_T05_CDF_ROWS = [
+    (0.0, 0.36787944117144233, 0.4057856448442962, 0.39602103097845737, 0.39881305239127035),
+    (0.5, 0.545239211892605, 0.6027419328708745, 0.5883761231972692, 0.5926557329145431),
+    (1.0, 0.6922006275553464, 0.7643570469744695, 0.7457284883902159, 0.7512283798982391),
+    (1.5, 0.8000107130043536, 0.8770325147241698, 0.8542327760752846, 0.8607410719512042),
+    (2.0, 0.8734230184931167, 0.9465018666499189, 0.920066499940926, 0.9275405494221263),
+]
+TABLE_T05_PDF_ROWS = [
+    (0.0, 0.36787944117144233, 0.4057856448442962, 0.39602103097845737, 0.3991798348385836),
+    (0.5, 0.3307042988904181, 0.3677111925872419, 0.3590099077812179, 0.36173673051667804),
+    (1.0, 0.2546463800435825, 0.27463156880377415, 0.26616533872047493, 0.26834247974835174),
+    (1.5, 0.17850651851312094, 0.17844871851358649, 0.17040198250795976, 0.17232323114133064),
+    (2.0, 0.11820495159314313, 0.10373548215478197, 0.09749218579653429, 0.09946252063024186),
+]
+
+
 def _json_bytes(schema, rows):
     return json.dumps([dict(zip(schema, row)) for row in rows], indent=2) + "\n"
 
@@ -537,6 +569,18 @@ class TestFullPrecisionLocks:
     ])
     def test_table_json(self, target, rows):
         code, out, err = run_cli(["table", "--n", "1e6", "--t", "1", "--x=-1:4:0.25",
+                                  "--format", "json", "--target", target])
+        assert (code, err) == (0, "")
+        assert out == _json_bytes(["x", "limit", "second", "third", "exact"], rows)
+
+    @pytest.mark.parametrize("t,target,rows", [
+        ("2", "cdf", TABLE_T2_CDF_ROWS),
+        ("2", "pdf", TABLE_T2_PDF_ROWS),
+        ("0.5", "cdf", TABLE_T05_CDF_ROWS),
+        ("0.5", "pdf", TABLE_T05_PDF_ROWS),
+    ])
+    def test_table_json_small_n(self, t, target, rows):
+        code, out, err = run_cli(["table", "--n", "1000", "--t", t, "--x=0:2:0.5",
                                   "--format", "json", "--target", target])
         assert (code, err) == (0, "")
         assert out == _json_bytes(["x", "limit", "second", "third", "exact"], rows)
