@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError, InsufficientDataError, ResourceError
-from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
+from .expansions import ApproxOrder, _coefficient_terms, cdf_approx, pdf_approx
 from .norming import NormingConstants, norming_constants, solve_b, transformed_quantile
-from .special_functions import gumbel_cdf, gumbel_pdf
+from .special_functions import _gumbel
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -111,19 +111,24 @@ def _grid_constants(t: float, x: float, n_grid: Sequence[float]) -> list[Norming
     return ncs
 
 
-def _scaled_gap_terms(nc: NormingConstants, x: float, target: str) -> tuple[float, float, float]:
-    """(scaled error, first coefficient, second coefficient) at one grid point."""
-    co = coefficients(nc.t, x)
-    lam_pdf = gumbel_pdf(x)
+def _scaled_errors(ncs: list[NormingConstants], x: float,
+                   target: str) -> tuple[list[float], float, float]:
+    """Scaled errors along the grid, with the first and second coefficient.
+
+    Lambda, Lambda' and the coefficients depend on (t, x) only, so the whole
+    grid shares one evaluation of them.
+    """
+    emx, lam, lam_pdf = _gumbel(x)
+    k1, k2, varpi, tau = _coefficient_terms(ncs[0].t, x, emx)[:4]
     if lam_pdf == 0.0:
         raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
                           "the scaled error is undefined there")
     if target == "cdf":
-        gap = powex.exact_law.exact_cdf(nc, x).value - gumbel_cdf(x).value
-        err = nc.error_scale * gap / lam_pdf
-        return err, co.k1, co.k2
-    err = nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0)
-    return err, co.varpi, co.tau
+        errs = [nc.error_scale * (powex.exact_law.exact_cdf(nc, x).value - lam) / lam_pdf
+                for nc in ncs]
+        return errs, k1, k2
+    errs = [nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0) for nc in ncs]
+    return errs, varpi, tau
 
 
 def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
@@ -142,16 +147,18 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     if scaling is Scaling.HALL_SCALED and target != "cdf":
         raise DomainError("hall_scaled applies to the distribution only")
     x = float(x)
+    ncs = _grid_constants(t, x, n_grid)
+    if scaling is not Scaling.RAW:
+        errs, first, second = _scaled_errors(ncs, x, target)
     rows = []
-    for nc in _grid_constants(t, x, n_grid):
+    for i, nc in enumerate(ncs):
         if scaling is Scaling.RAW:
             if target == "cdf":
                 res = cdf_approx(nc, x, order).unclamped - powex.exact_law.exact_cdf(nc, x).value
             else:
                 res = pdf_approx(nc, x, order).unfloored - powex.exact_law.exact_pdf(nc, x)
         else:
-            err, first, second = _scaled_gap_terms(nc, x, target)
-            res = err - first
+            res = errs[i] - first
             if scaling is Scaling.THIRD_ORDER_REMAINDER:
                 res -= second / nc.b_squared
         rows.append(CurveRow(n=nc.n, b=nc.b, residual=res))
@@ -201,15 +208,14 @@ def hall_limit_check(t: float, x: float, n_grid: Sequence[float]) -> HallCheck:
     covering the unprinted b^-4 coefficient.
     """
     x = float(x)
-    rows = []
-    for nc in _grid_constants(t, x, n_grid):
-        err, k1, k2 = _scaled_gap_terms(nc, x, "cdf")
-        rows.append(HallRow(n=nc.n, scaled_error=err, k1_target=k1, gap=err - k1))
+    ncs = _grid_constants(t, x, n_grid)
+    errs, k1, k2 = _scaled_errors(ncs, x, "cdf")
+    rows = [HallRow(nc.n, err, k1, err - k1) for nc, err in zip(ncs, errs)]
     decreasing = all(
         abs(b.gap) < abs(a.gap) or (abs(a.gap) < GAP_TOLERANCE and abs(b.gap) < GAP_TOLERANCE)
         for a, b in zip(rows, rows[1:])
     )
-    u = nc.b_squared  # nc and k2 are the last grid point's
+    u = ncs[-1].b_squared
     bound = 1.5 * abs(k2) / u + 10.0 / (u * u)
     final_gap = rows[-1].gap
     passed = decreasing and abs(final_gap) <= bound

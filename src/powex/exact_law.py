@@ -17,6 +17,10 @@ where delta > -ln 2 it is -2n*atanh(erf(g/sqrt(2))) and the last term
 log(-expm1(delta)) (Maechler, "Accurately computing log(1 - exp(-|a|))",
 2012); F_n = 0 where g underflows. One kernel serves the scalar API, on
 Python floats through ``math``, and the array path, through numpy.
+
+The scalar density adds its two log terms with ``_logaddexp``, numpy's
+``npy_logaddexp`` written out on the same libm ``exp``/``log1p`` calls, so
+it has the bits of ``np.logaddexp`` without a numpy scalar per point.
 """
 from __future__ import annotations
 
@@ -26,9 +30,21 @@ import numpy as np
 from scipy.special import erf, log_ndtr
 
 from .norming import NormingConstants, transformed_quantile
-from .special_functions import LOG_2PI, Probability, _require_finite
+from .special_functions import LOG_2PI, Probability
 
 _LN2 = math.log(2.0)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b), step for step numpy's npy_logaddexp."""
+    if a == b:  # infinities of the same sign
+        return a + _LN2
+    diff = a - b
+    if diff > 0.0:
+        return a + math.log1p(math.exp(-diff))
+    if diff <= 0.0:
+        return b + math.log1p(math.exp(diff))
+    return diff  # a NaN argument
 
 
 # The kernel's arithmetic: Python floats through math, or numpy arrays
@@ -78,9 +94,8 @@ def exact_cdf(nc: NormingConstants, x: float) -> Probability:
     Each exponential is accurate to well under 1e-13 relative for n up to
     1e14, up to the support boundary. Requires c*x + d > 0.
     """
-    x = _require_finite(x)
     log_cdf = _log_cdf(_ScalarOps, nc.n, transformed_quantile(nc, x).g)
-    return Probability(value=math.exp(log_cdf), log_value=log_cdf)
+    return Probability(math.exp(log_cdf), log_cdf)
 
 
 def exact_pdf(nc: NormingConstants, x: float) -> float:
@@ -90,12 +105,11 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     of F_n yields, and the test suite checks it against the numeric
     derivative where the term is non-negligible. Requires c*x + d > 0.
     """
-    x = _require_finite(x)
     g, dg_dx = transformed_quantile(nc, x)
     n = nc.n
     log_phi = float(log_ndtr(g))
     log_surv = float(log_ndtr(-g))
-    log_pair = float(np.logaddexp((n - 1.0) * log_phi, (n - 1.0) * log_surv))
+    log_pair = _logaddexp((n - 1.0) * log_phi, (n - 1.0) * log_surv)
     # g' underflows to 0 next to the boundary when t is small
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0

@@ -84,9 +84,9 @@ _KS_MARGIN = 2.0 ** -30
 # column loop of np.maximum; both give the same bits. On the uint64 words of
 # one chunk (2-core x86-64 host) the loop wins up to about n = 40: 0.17 vs
 # 0.47 ms at n = 16, 0.14 vs 0.35 at 17, 0.21 vs 0.23 at 32, 0.22 vs 0.16
-# at 48. The switch stays at 16, the boundary the worker-count tests pin;
-# no workload has 16 < n <= 40.
-_COLUMN_MAX_N = 16
+# at 48. The switch is at 32, below the crossover; the worker-count tests
+# pin n = 32 and 33 on either side of it.
+_COLUMN_MAX_N = 32
 
 
 class SimSample(NamedTuple):
@@ -248,6 +248,9 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     if sample.reps < 1000:
         raise DomainError(f"ks_check needs reps >= 1000, got {sample.reps}")
+    if np.shape(sample.values) != (sample.reps,):
+        raise DomainError(f"ks_check needs one value per replicate: reps={sample.reps}, "
+                          f"values of shape {np.shape(sample.values)}")
     sv = np.sort(sample.values)
     n = sample.reps
     knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)

@@ -139,4 +139,4 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
         dg_dx = (nc.c * inv_t) * arg ** (inv_t - 1.0)
     except OverflowError:
         raise DomainError(f"(c*x + d)^(1/t) overflows at x={x}") from None
-    return TransformedQuantile(g=g, dg_dx=dg_dx)
+    return TransformedQuantile(g, dg_dx)

@@ -39,10 +39,9 @@ class Probability(NamedTuple):
     def from_raw(cls, raw: float) -> Probability:
         """``raw`` clamped to [0, 1]; flagged and retained when out of range."""
         if 0.0 <= raw <= 1.0:
-            return cls(value=raw, log_value=math.log(raw) if raw > 0.0 else -math.inf)
+            return cls(raw, math.log(raw) if raw > 0.0 else -math.inf)
         value = min(max(raw, 0.0), 1.0)
-        return cls(value=value, log_value=math.log(value) if value > 0.0 else -math.inf,
-                   clamped=True, raw=raw)
+        return cls(value, math.log(value) if value > 0.0 else -math.inf, True, raw)
 
     @property
     def unclamped(self) -> float:
@@ -77,7 +76,7 @@ def survival(x: float) -> Probability:
     from scipy.special import log_ndtr, ndtr  # here, so importing this module skips scipy
 
     x = _require_finite(x)
-    return Probability(value=float(ndtr(-x)), log_value=float(log_ndtr(-x)))
+    return Probability(float(ndtr(-x)), float(log_ndtr(-x)))
 
 
 def _mills_coefficients(x: float, order: int) -> tuple[float, list[int]]:
@@ -128,18 +127,22 @@ def mills_series_bound(x: float, order: int) -> float:
     return 2.0 * a[-1] * x ** (-2 * (len(a) - 1)) * std_normal_pdf(x) / x
 
 
+def _gumbel(x: float) -> tuple[float, float, float]:
+    """(e^{-x}, Lambda(x), Lambda'(x)) at a finite float x."""
+    # e^{-x} overflows math.exp for x < -709; Lambda and Lambda' are exactly 0 there
+    if x > -709.0:
+        emx = math.exp(-x)
+        # Lambda' in one exp: in e^{-x} * Lambda, Lambda underflows first (x < -6.6)
+        return emx, math.exp(-emx), math.exp(-x - emx)
+    return math.inf, 0.0, 0.0
+
+
 def gumbel_cdf(x: float) -> Probability:
     """Gumbel distribution function Lambda(x) = exp(-e^{-x})."""
-    x = _require_finite(x)
-    # e^{-x} overflows math.exp for x < -709; the cdf is exactly 0 there
-    neg_exp = math.exp(-x) if x > -709.0 else math.inf
-    log_value = -neg_exp
-    return Probability(value=math.exp(log_value), log_value=log_value)
+    emx, lam, _ = _gumbel(_require_finite(x))
+    return Probability(lam, -emx)
 
 
 def gumbel_pdf(x: float) -> float:
     """Gumbel density Lambda'(x) = exp(-x - e^{-x})."""
-    x = _require_finite(x)
-    # single exp avoids the 0 * inf indeterminate far in the left tail
-    neg_exp = math.exp(-x) if x > -709.0 else math.inf
-    return math.exp(-x - neg_exp) if neg_exp != math.inf else 0.0
+    return _gumbel(_require_finite(x))[2]

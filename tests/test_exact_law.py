@@ -20,6 +20,7 @@ from powex import (
     survival,
     transformed_quantile,
 )
+from powex.exact_law import _logaddexp
 
 
 def rel_err(got: float, want: float) -> float:
@@ -148,6 +149,41 @@ class TestExactPdf:
         nc = norming_constants(100.0, 0.5)
         xs = [-1.0 + 0.5 * i for i in range(12)]
         assert all(exact_pdf(nc, x) >= 0.0 for x in xs)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bits, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or \
+        np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+class TestLogaddexp:
+    """The scalar density's logaddexp must carry np.logaddexp's bits."""
+
+    def test_dense_grid(self):
+        grid = np.concatenate([-np.logspace(-12, 3, 400), [0.0], np.logspace(-12, 3, 400)])
+        rng = np.random.default_rng(5)
+        pairs = [(a, b) for a in grid[::4] for b in grid[::4]]
+        pairs += [(a, a + d) for a in grid for d in (0.0, 5e-16, -3e-13, 1e-8, 36.7, -40.0)]
+        pairs += list(zip(rng.uniform(-1000.0, 10.0, 5000), rng.uniform(-1000.0, 10.0, 5000)))
+        a, b = np.array(pairs).T
+        want = np.logaddexp(a, b)
+        bad = [(x, y) for x, y, w in zip(a.tolist(), b.tolist(), want.tolist())
+               if not same_float(_logaddexp(x, y), w)]
+        assert not bad, bad[:5]
+
+    @pytest.mark.parametrize("a,b", [
+        (-3.5, -3.5), (0.0, 0.0), (-0.0, 0.0), (-1e300, -1e300),
+        (math.inf, math.inf), (-math.inf, -math.inf),
+        (math.inf, -math.inf), (-math.inf, math.inf),
+        (math.inf, 2.0), (2.0, math.inf), (-math.inf, -7.0), (-7.0, -math.inf),
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+        (math.nan, math.inf), (-math.inf, math.nan),
+    ])
+    def test_special_arguments(self, a, b):
+        with np.errstate(invalid="ignore"):
+            want = float(np.logaddexp(a, b))
+        assert same_float(_logaddexp(a, b), want)
 
 
 class TestSupportBoundary:

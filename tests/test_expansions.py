@@ -226,6 +226,33 @@ class TestPdfApprox:
             assert abs(diff - dens) < 1e-6 * max(1.0, abs(dens))
 
 
+# Frozen at n = 1000, t = 2, x = 0.5 before orders resolved by lookup; the
+# same numbers are in the t = 2 full-precision table locks of test_cli.py
+FROZEN_T2_CDF = {"limit": 0.545239211892605, "second": 0.526805674205569,
+                 "third": 0.5351267982752075, "exact": 0.5316948308966682}
+FROZEN_T2_PDF = {"limit": 0.3307042988904181, "second": 0.3239127306607948,
+                 "third": 0.3282361715262478, "exact": 0.3264030722009036}
+
+
+class TestOrderLookup:
+    @pytest.mark.parametrize("order", list(ApproxOrder))
+    def test_member_and_value_give_the_frozen_numbers(self, order):
+        nc = norming_constants(1000.0, 2.0)
+        for key in (order, order.value):
+            assert cdf_approx(nc, 0.5, key).value == FROZEN_T2_CDF[order.value]
+            assert pdf_approx(nc, 0.5, key).value == FROZEN_T2_PDF[order.value]
+        assert cdf_approx(nc, 0.5, order) == cdf_approx(nc, 0.5, order.value)
+        assert pdf_approx(nc, 0.5, order) == pdf_approx(nc, 0.5, order.value)
+
+    @pytest.mark.parametrize("order", ["fourth", "THIRD", "", None, 3, ["third"]])
+    def test_anything_else_is_a_value_error(self, order):
+        nc = norming_constants(1000.0, 2.0)
+        with pytest.raises(ValueError):
+            cdf_approx(nc, 0.5, order)
+        with pytest.raises(ValueError):
+            pdf_approx(nc, 0.5, order)
+
+
 class TestNuExpansion:
     def test_frozen_values(self):
         assert rel_err(nu_expansion(norming_constants(1000.0, 1.0), 0.0),
@@ -264,6 +291,13 @@ class TestNuExpansion:
         nc = norming_constants(1000.0, 2.0)
         with pytest.raises(DomainError):
             nu_expansion(nc, -nc.d / nc.c - 0.1)
+
+    def test_left_tail_past_the_exp_range(self):
+        # on the support (x_min is about -2.3e3 here), but e^{-x} overflows;
+        # this was a bare OverflowError
+        nc = norming_constants(1e150, 0.3)
+        with pytest.raises(DomainError, match="overflow at x=-710.0"):
+            nu_expansion(nc, -710.0)
 
 
 class TestDensityFactorExpansion:

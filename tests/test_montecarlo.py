@@ -77,8 +77,10 @@ class TestSimulate:
     @pytest.mark.parametrize("n,reps,chunk_draws,every_offset_mod_4", [
         (7, 40, 21, True),  # odd chunk lengths: chunks start at every first % 4
         (13, 40, 50, True),
-        (16, 30, 100, False),  # column-loop row max, the largest n that uses it
-        (17, 30, 100, False),  # max(axis=1)
+        (16, 30, 100, False),  # column-loop row max
+        (17, 30, 100, False),
+        (32, 30, 100, False),  # the largest n that uses the column loop
+        (33, 30, 100, False),  # max(axis=1)
         (7, 3, 5, False),  # fewer replicates than workers: one chunk each
     ])
     def test_bytes_do_not_depend_on_worker_count(
@@ -234,6 +236,20 @@ class TestKsCheck:
         small = SimSample(nc=sample.nc, reps=999, seed=0, values=sample.values[:999])
         with pytest.raises(DomainError):
             ks_check(small, "limit", alpha=0.1)
+
+    @pytest.mark.parametrize("reps", [3000, 1000])
+    def test_reps_must_match_the_values(self, reps):
+        # more reps than values once indexed past the end; fewer once gave
+        # D over the smallest ``reps`` values only
+        sample = self.perfect_gumbel_sample(2000)._replace(reps=reps)
+        with pytest.raises(DomainError, match="one value per replicate"):
+            ks_check(sample, "limit", alpha=0.1)
+
+    def test_values_must_be_one_dimensional(self):
+        sample = self.perfect_gumbel_sample(2000)
+        flat = sample._replace(values=sample.values.reshape(2000, 1))
+        with pytest.raises(DomainError, match="one value per replicate"):
+            ks_check(flat, "limit", alpha=0.1)
 
     def test_seeded_run_against_exact_law(self):
         # 2e6 draws: D should sit at the sampling scale ~ 1/sqrt(reps), well
