@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError, InsufficientDataError, ResourceError
-from .expansions import ApproxOrder, _coefficient_terms, cdf_approx, pdf_approx
+from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
 from .norming import NormingConstants, norming_constants, solve_b, transformed_quantile
-from .special_functions import _gumbel
+from .special_functions import gumbel_cdf, gumbel_pdf
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -118,17 +118,18 @@ def _scaled_errors(ncs: list[NormingConstants], x: float,
     Lambda, Lambda' and the coefficients depend on (t, x) only, so the whole
     grid shares one evaluation of them.
     """
-    emx, lam, lam_pdf = _gumbel(x)
-    k1, k2, varpi, tau = _coefficient_terms(ncs[0].t, x, emx)[:4]
+    co = coefficients(ncs[0].t, x)
+    lam_pdf = gumbel_pdf(x)
     if lam_pdf == 0.0:
         raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
                           "the scaled error is undefined there")
     if target == "cdf":
+        lam = gumbel_cdf(x).value
         errs = [nc.error_scale * (powex.exact_law.exact_cdf(nc, x).value - lam) / lam_pdf
                 for nc in ncs]
-        return errs, k1, k2
+        return errs, co.k1, co.k2
     errs = [nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0) for nc in ncs]
-    return errs, varpi, tau
+    return errs, co.varpi, co.tau
 
 
 def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
@@ -148,20 +149,20 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
         raise DomainError("hall_scaled applies to the distribution only")
     x = float(x)
     ncs = _grid_constants(t, x, n_grid)
-    if scaling is not Scaling.RAW:
-        errs, first, second = _scaled_errors(ncs, x, target)
-    rows = []
-    for i, nc in enumerate(ncs):
-        if scaling is Scaling.RAW:
-            if target == "cdf":
-                res = cdf_approx(nc, x, order).unclamped - powex.exact_law.exact_cdf(nc, x).value
-            else:
-                res = pdf_approx(nc, x, order).unfloored - powex.exact_law.exact_pdf(nc, x)
+    if scaling is Scaling.RAW:
+        if target == "cdf":
+            res = [cdf_approx(nc, x, order).unclamped - powex.exact_law.exact_cdf(nc, x).value
+                   for nc in ncs]
         else:
-            res = errs[i] - first
-            if scaling is Scaling.THIRD_ORDER_REMAINDER:
-                res -= second / nc.b_squared
-        rows.append(CurveRow(n=nc.n, b=nc.b, residual=res))
+            res = [pdf_approx(nc, x, order).unfloored - powex.exact_law.exact_pdf(nc, x)
+                   for nc in ncs]
+    else:
+        errs, first, second = _scaled_errors(ncs, x, target)
+        if scaling is Scaling.HALL_SCALED:
+            res = [err - first for err in errs]
+        else:
+            res = [err - first - second / nc.b_squared for nc, err in zip(ncs, errs)]
+    rows = [CurveRow(nc.n, nc.b, r) for nc, r in zip(ncs, res)]
     return ErrorCurve(t=float(t), x=x, target=target, order=order,
                       rows=tuple(rows), scaling=scaling)
 

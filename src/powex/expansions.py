@@ -8,10 +8,11 @@ and density-factor expansions are exposed as diagnostics; they multiply out
 to the same coefficients, which the test suite exploits as a consistency
 check.
 
-One kernel evaluates the six coefficients at a point, from the e^{-x} that
-the Gumbel helper computed for Lambda and Lambda' there, so each
-approximation takes one exponential and one coefficient pass per call;
-``coefficients`` wraps the same kernel in a named record.
+One kernel evaluates the six coefficients at a point into their named
+record, from the e^{-x} that the Gumbel helper computed for Lambda and
+Lambda' there, so each approximation takes one exponential and one
+coefficient pass per call; ``coefficients`` checks x and calls the same
+kernel.
 """
 from __future__ import annotations
 
@@ -33,20 +34,6 @@ class ApproxOrder(enum.Enum):
     SECOND = "second"
     THIRD = "third"
     EXACT = "exact"
-
-
-_ORDER_VALUES = {o.value: o for o in ApproxOrder}
-
-
-def _approx_order(order) -> ApproxOrder:
-    """A member as it is, a member's value by one lookup; anything else goes
-    to ApproxOrder(order), which raises the ValueError."""
-    if type(order) is ApproxOrder:
-        return order
-    try:
-        return _ORDER_VALUES[order]
-    except (KeyError, TypeError):  # TypeError: an unhashable order
-        return ApproxOrder(order)
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -80,29 +67,30 @@ def _density_factor_terms(t: float, x: float) -> tuple[float, float]:
     return h, m2
 
 
-def _coefficient_terms(t: float, x: float, emx: float) -> tuple[float, ...]:
-    """(k1, k2, varpi, tau, theta1, theta2) at a finite float x, emx = e^{-x},
-    with the DomainError that ``coefficients`` documents."""
+def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
+    """The six coefficients at a finite float x, emx = e^{-x}, with the
+    DomainError that ``coefficients`` documents."""
     t = _power_index(t)
     try:
         first, second = _density_factor_terms(t, x)
         if t == 2.0:
             theta1 = 3.5 + 3.0 * x + x * x
             theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
-            terms = (-theta1, theta2, first - emx * theta1, emx * theta2 - second,
-                     theta1, theta2)
+            co = ExpansionCoefficients(-theta1, theta2, first - emx * theta1,
+                                       emx * theta2 - second, theta1, theta2, True)
         else:
             theta1 = 1.0 + x + 0.5 * (2.0 - t) * x * x
             theta2 = (3.0 + 3.0 * x + 1.5 * x * x
                       + (2.0 - t) * (2.0 * t + 1.0) / 6.0 * x ** 3
                       + (t - 2.0) ** 2 / 8.0 * x ** 4)
             k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
-            terms = (theta1, k2, x * first + emx * theta1,
-                     x * emx * first * theta1 + second + emx * k2, theta1, theta2)
+            co = ExpansionCoefficients(theta1, k2, x * first + emx * theta1,
+                                       x * emx * first * theta1 + second + emx * k2,
+                                       theta1, theta2, False)
         # each on its own: x*x products reach inf without an OverflowError
-        if not all(map(math.isfinite, terms)):
+        if not all(map(math.isfinite, co[:6])):
             raise OverflowError
-        return terms
+        return co
     except OverflowError:
         raise DomainError(f"expansion coefficients overflow at x={x}") from None
 
@@ -113,9 +101,9 @@ def coefficients(t: float, x: float) -> ExpansionCoefficients:
     An x whose powers or e^{-x} pass the float range, or that leaves any
     coefficient inf or nan, is a DomainError.
     """
-    t = _power_index(t)
     x = _require_finite(x)
-    return ExpansionCoefficients(*_coefficient_terms(t, x, _gumbel(x)[0]), t == 2.0)
+    # below -709 e^{-x} is taken as inf, as in _gumbel; the kernel refuses the inf terms
+    return _coefficients(t, x, math.exp(-x) if x > -709.0 else math.inf)
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:
@@ -126,15 +114,15 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     for extreme x at small n; they are clamped with the flag set and the raw
     value retained, since convergence diagnostics need unclamped residuals.
     """
-    order = _approx_order(order)
+    order = order if type(order) is ApproxOrder else ApproxOrder(order)
     if order is ApproxOrder.EXACT:
         return powex.exact_law.exact_cdf(nc, x)
     x = _require_finite(x)
     emx, lam, lam_pdf = _gumbel(x)
     if order is ApproxOrder.LIMIT:
         return Probability(lam, -emx)
-    k1, k2 = _coefficient_terms(nc.t, x, emx)[:2]
-    correction = k1 if order is ApproxOrder.SECOND else k1 + k2 / nc.b_squared
+    co = _coefficients(nc.t, x, emx)
+    correction = co.k1 if order is ApproxOrder.SECOND else co.k1 + co.k2 / nc.b_squared
     return Probability.from_raw(lam + 1.0 / nc.error_scale * lam_pdf * correction)
 
 
@@ -157,15 +145,15 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     exact delegates to the finite-n law. Negative truncations are floored
     at 0 with the flag set.
     """
-    order = _approx_order(order)
+    order = order if type(order) is ApproxOrder else ApproxOrder(order)
     if order is ApproxOrder.EXACT:
         return Density(powex.exact_law.exact_pdf(nc, x))
     x = _require_finite(x)
     emx, _, lam_pdf = _gumbel(x)
     if order is ApproxOrder.LIMIT:
         return Density(lam_pdf)
-    varpi, tau = _coefficient_terms(nc.t, x, emx)[2:4]
-    correction = varpi if order is ApproxOrder.SECOND else varpi + tau / nc.b_squared
+    co = _coefficients(nc.t, x, emx)
+    correction = co.varpi if order is ApproxOrder.SECOND else co.varpi + co.tau / nc.b_squared
     raw = lam_pdf * (1.0 + 1.0 / nc.error_scale * correction)
     if raw >= 0.0:
         return Density(raw)
@@ -183,11 +171,11 @@ def nu_expansion(nc: NormingConstants, x: float) -> float:
     x = float(x)
     u = nc.b_squared
     emx, lam, _ = _gumbel(x)
-    theta1, theta2 = _coefficient_terms(nc.t, x, emx)[4:]
+    co = _coefficients(nc.t, x, emx)
     if nc.is_two:
-        return lam * (1.0 - emx / (u * u) * theta1 + emx / (u ** 3) * theta2)
-    return lam * (1.0 + emx / u * theta1
-                  - emx / (u * u) * (theta2 - 0.5 * emx * theta1 ** 2))
+        return lam * (1.0 - emx / (u * u) * co.theta1 + emx / (u ** 3) * co.theta2)
+    return lam * (1.0 + emx / u * co.theta1
+                  - emx / (u * u) * (co.theta2 - 0.5 * emx * co.theta1 ** 2))
 
 
 def density_factor_expansion(nc: NormingConstants, x: float) -> float:
