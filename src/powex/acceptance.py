@@ -13,13 +13,14 @@ import math
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .convergence_lab import error_curve, hall_limit_check, naive_t2_constants, \
     rate_fit, Scaling
 from .exact_law import exact_cdf, exact_pdf
 from .expansions import ApproxOrder, cdf_approx, pdf_approx
-from .montecarlo import ks_check, simulate_block_maxima
+from .montecarlo import _usable_cpus, ks_check, simulate_block_maxima
 from .norming import norming_constants, solve_b
 from .special_functions import LOG_2PI, gumbel_cdf, mills_series_bound, \
     mills_series_survival, survival
@@ -207,9 +208,14 @@ def _run_cli(cmd: tuple[str, ...]) -> tuple[int, bytes, bytes]:
 @_check("cli-determinism")
 def check_cli_determinism():
     """Every documented command produces byte-identical output (and exit
-    code) when invoked twice."""
-    mismatched = [" ".join(cmd) for cmd in DETERMINISM_COMMANDS
-                  if _run_cli(cmd) != _run_cli(cmd)]
+    code) when invoked twice. The runs are independent processes, so they
+    start on up to min(usable CPUs, runs) threads."""
+    runs = [cmd for cmd in DETERMINISM_COMMANDS for _ in range(2)]
+    with ThreadPoolExecutor(min(_usable_cpus(), len(runs))) as pool:
+        results = list(pool.map(_run_cli, runs))
+    mismatched = [" ".join(cmd) for cmd, first, second
+                  in zip(DETERMINISM_COMMANDS, results[::2], results[1::2])
+                  if first != second]
     detail = f"{len(DETERMINISM_COMMANDS)} commands run twice each"
     if mismatched:
         detail += "; mismatched: " + "; ".join(mismatched)

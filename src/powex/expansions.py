@@ -95,6 +95,11 @@ def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
         raise DomainError(f"expansion coefficients overflow at x={x}") from None
 
 
+def _exp_neg(x: float) -> float:
+    """e^{-x}, taken as inf below -709 as in _gumbel, where math.exp overflows."""
+    return math.exp(-x) if x > -709.0 else math.inf
+
+
 def coefficients(t: float, x: float) -> ExpansionCoefficients:
     """Evaluate k1, k2, varpi, tau, theta1, theta2 at (t, x).
 
@@ -102,8 +107,7 @@ def coefficients(t: float, x: float) -> ExpansionCoefficients:
     coefficient inf or nan, is a DomainError.
     """
     x = _require_finite(x)
-    # below -709 e^{-x} is taken as inf, as in _gumbel; the kernel refuses the inf terms
-    return _coefficients(t, x, math.exp(-x) if x > -709.0 else math.inf)
+    return _coefficients(t, x, _exp_neg(x))  # the kernel refuses the inf terms
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:
@@ -182,13 +186,17 @@ def density_factor_expansion(nc: NormingConstants, x: float) -> float:
     """Expansion of the density factor n * d/dx Phi((c*x + d)^(1/t)).
 
     Truncated at b^-4 for t != 2 and b^-6 for t = 2; the leading term is
-    e^{-x} in both branches.
+    e^{-x} in both branches. A factor past the float range is a DomainError.
     """
     transformed_quantile(nc, x)  # domain check only
     u = nc.b_squared
     x = float(x)
-    emx = math.exp(-x)
+    emx = _exp_neg(x)
     first, second = _density_factor_terms(nc.t, x)
     if nc.is_two:
-        return emx * (1.0 + first / (u * u) - second / u ** 3)
-    return emx * (1.0 + x * first / u + second / (u * u))
+        factor = emx * (1.0 + first / (u * u) - second / u ** 3)
+    else:
+        factor = emx * (1.0 + x * first / u + second / (u * u))
+    if not math.isfinite(factor):
+        raise DomainError(f"density factor expansion overflows at x={x}")
+    return factor

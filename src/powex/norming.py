@@ -118,13 +118,12 @@ class TransformedQuantile(NamedTuple):
     dg_dx: float
 
 
-def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
-    """g(x) = (c*x + d)^(1/t) and its derivative (c/t)*(c*x + d)^(1/t - 1).
+_POWER_OVERFLOW = "(c*x + d)^(1/t) overflows at x={}"
 
-    Defined only where c*x + d > 0; below that the power is not real and
-    the error reports the boundary x_min = -d/c. A power past the float
-    range is a DomainError too.
-    """
+
+def _support_point(nc: NormingConstants, x: float) -> tuple[float, float, float]:
+    """(x, c*x + d, g(x)) with x as a float, and the DomainErrors that
+    ``transformed_quantile`` documents: the one home of the support check."""
     x = _require_finite(x)
     arg = nc.c * x + nc.d
     if arg <= 0.0:
@@ -133,10 +132,22 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
             f"c*x + d must be positive: x={x} is outside (x_min={x_min!r}, inf)",
             x_min=x_min,
         )
+    try:
+        return x, arg, arg ** (1.0 / nc.t)
+    except OverflowError:
+        raise DomainError(_POWER_OVERFLOW.format(x)) from None
+
+
+def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
+    """g(x) = (c*x + d)^(1/t) and its derivative (c/t)*(c*x + d)^(1/t - 1).
+
+    Defined only where c*x + d > 0; below that the power is not real and
+    the error reports the boundary x_min = -d/c. A power past the float
+    range is a DomainError too.
+    """
+    x, arg, g = _support_point(nc, x)
     inv_t = 1.0 / nc.t
     try:
-        g = arg ** inv_t
-        dg_dx = (nc.c * inv_t) * arg ** (inv_t - 1.0)
+        return TransformedQuantile(g, (nc.c * inv_t) * arg ** (inv_t - 1.0))
     except OverflowError:
-        raise DomainError(f"(c*x + d)^(1/t) overflows at x={x}") from None
-    return TransformedQuantile(g, dg_dx)
+        raise DomainError(_POWER_OVERFLOW.format(x)) from None

@@ -7,13 +7,16 @@ budgets live in the check implementations; nothing is loosened here.
 """
 from __future__ import annotations
 
+import collections
 import json
 import math
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from powex import acceptance
 from powex.acceptance import (
     CheckResult,
     _check,
@@ -103,3 +106,22 @@ def test_runner_passes_the_body_through(ok, status):
     result = run_stub(ok)
     assert result == CheckResult("stub", status, 0.25, 1.0, "stub detail", result.elapsed_s)
     assert math.isfinite(result.elapsed_s) and result.elapsed_s > 0.0
+
+
+def test_cli_determinism_runs_each_command_twice_and_compares_the_pair(monkeypatch):
+    # the runs share a thread pool; each pair is still compared on its own
+    calls = collections.Counter()
+    lock = threading.Lock()
+    flaky = acceptance.DETERMINISM_COMMANDS[3]
+
+    def fake_run(cmd):
+        with lock:
+            calls[cmd] += 1
+            k = calls[cmd]
+        return 0, " ".join(cmd).encode() + (str(k).encode() if cmd == flaky else b""), b""
+
+    monkeypatch.setattr(acceptance, "_run_cli", fake_run)
+    result = acceptance.check_cli_determinism()
+    assert calls == {cmd: 2 for cmd in acceptance.DETERMINISM_COMMANDS}
+    assert result.status == "FAIL" and result.measured == 1.0
+    assert result.detail.endswith("; mismatched: " + " ".join(flaky))

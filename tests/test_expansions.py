@@ -339,3 +339,12 @@ class TestDensityFactorExpansion:
         nc = norming_constants(1000.0, 1.0)
         with pytest.raises(DomainError):
             density_factor_expansion(nc, -nc.d / nc.c - 1.0)
+
+    @pytest.mark.parametrize("x", [-709.5, -710.0])
+    def test_left_tail_past_the_exp_range(self, x):
+        # on the support (x_min is about -743.4 here); -709.5 returned inf
+        # and -710.0 was a bare OverflowError
+        nc = norming_constants(1e50, 0.3)
+        assert -nc.d / nc.c < x
+        with pytest.raises(DomainError, match=f"overflows at x={x}"):
+            density_factor_expansion(nc, x)
