@@ -25,7 +25,7 @@ _EXPORTS = {
     "exact_law": ("exact_cdf", "exact_cdf_values", "exact_pdf"),
     "expansions": (
         "ApproxOrder", "Density", "ExpansionCoefficients", "cdf_approx", "coefficients",
-        "density_factor_expansion", "nu_expansion", "pdf_approx",
+        "pdf_approx",
     ),
     "montecarlo": ("KSResult", "SimSample", "ks_check", "simulate_block_maxima"),
     "norming": (

@@ -60,11 +60,6 @@ class ErrorCurve(NamedTuple):
     rows: tuple[CurveRow, ...]
     scaling: Scaling
 
-    @property
-    def sign_changes(self) -> int:
-        signs = [math.copysign(1.0, r.residual) for r in self.rows if r.residual != 0.0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
 
 class SlopeFit(NamedTuple):
     slope: float

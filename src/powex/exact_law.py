@@ -21,13 +21,32 @@ log1p(-e^delta) adds -0.0 and n*log(Phi) already has the bits, and
 numpy's exp is about 4x slower on an underflowing argument. A NaN delta
 comes only from a NaN g, where n*log(Phi) is NaN already.
 
+Most points never need delta. With y = log Phi, 1 - Phi = 1 - e^y <= -y,
+so delta <= n*(log(-y) - y), and log(-y) - y falls as y rises towards 0.
+So when n*(log(-y) - y) <= -746 at the least y of the input (a NaN y fails
+the test), every point is in the n*log(Phi) branch and the kernel returns
+it without the expm1/log pass that forms delta. This cannot move a bit.
+The bound passes only where y > -0.571 at every point, so Phi > 0.56 and
+the full path's two logs do not cancel: its delta is within a few ulps of
+the exact one. Away from y = -0.567, its one zero, the bound is within a
+few ulps too, so each point it settles has a computed delta below -745.13,
+where the full path adds exactly -0.0 as well. Near that zero the bound
+can pass only once n > 7e4, and every delta is below -0.25n there.
+
+Where 1 - Phi(g) is subnormal (below 2.2e-308, g > 37.5), log Phi =
+log1p(-(1 - Phi)) is subnormal too and has lost bits, and from g = 37.8 on
+log_ndtr returns 0, which made F_n = 1 at n = 1e300. There (delta is below
+-1400 for n >= 2, so the n*log(Phi) branch) n*log(Phi) is taken as
+-exp(ln n + log(1 - Phi)) from log_ndtr(-g), accurate to about 2e-13
+relative; the density's (n - 1)*log(Phi) likewise. No other point moves.
+
 One kernel serves the scalar API, on Python floats through ``math``, and
 the array path, through numpy. On arrays each branch runs on the whole
 array when its condition holds at every point, and is skipped when it holds
 at none; only a mixed condition gathers and scatters the points it selects.
-``exact_cdf_values`` runs every point through the kernel and keeps the
-results on the support in one masked exp, so a grid that lies on the
-support is never gathered.
+``exact_cdf_values`` runs every point through the kernel; it keeps the
+results on the support in one masked exp, or, when every point is on the
+support, in one plain exp.
 
 The scalar density adds its two log terms with ``_logaddexp``, numpy's
 ``npy_logaddexp`` written out on the same libm ``exp``/``log1p`` calls, so
@@ -36,6 +55,7 @@ it has the bits of ``np.logaddexp`` without a numpy scalar per point.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import erf, log_ndtr
@@ -46,6 +66,8 @@ from .special_functions import LOG_2PI, Probability
 _LN2 = math.log(2.0)
 # Below this delta, e^delta is 0 and log1p(-e^delta) is -0.0
 _DEAD_DELTA = -746.0
+# Above -_TINY, log Phi = -(1 - Phi) is subnormal or 0
+_TINY = sys.float_info.min
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -65,6 +87,7 @@ class _ScalarOps:
     exp, expm1, log1p, atanh, erf = math.exp, math.expm1, math.log1p, math.atanh, math.erf
     log_ndtr, native = log_ndtr, float  # log_ndtr returns numpy scalars
     log = staticmethod(lambda v: math.log(v) if v > 0.0 else -math.inf)
+    least = greatest = staticmethod(lambda v: v)
 
     @classmethod
     def branch(cls, cond, if_true, if_false, *args):
@@ -74,6 +97,9 @@ class _ScalarOps:
 class _ArrayOps:
     exp, expm1, log1p, atanh, log = np.exp, np.expm1, np.log1p, np.arctanh, np.log
     erf, log_ndtr, native = erf, log_ndtr, np.asarray
+    # as Python floats; least propagates a NaN, greatest skips it
+    least = staticmethod(lambda v: float(v.min(initial=0.0)))
+    greatest = staticmethod(lambda v: float(np.fmax.reduce(v, axis=None, initial=-math.inf)))
 
     @classmethod
     def branch(cls, cond, if_true, if_false, *args):
@@ -88,21 +114,39 @@ class _ArrayOps:
 def _log_cdf(ops, n: float, g):
     """log F_n at transformed quantiles g > 0, in the arithmetic of ``ops``."""
     log_phi = ops.native(ops.log_ndtr(g))
-    # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 38.5); F_n = 1 there
+    # 1 - Phi <= -log Phi bounds delta by n*(log(-y) - y), which falls as y
+    # rises: at the least y (NaN if any point is) it settles every point
+    y = ops.least(log_phi)
+    if n * (_ScalarOps.log(-y) - y) <= _DEAD_DELTA:
+        return _log_cdf_power(ops, n, g, log_phi)
+    # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 38.5)
     delta = n * (ops.log(-ops.expm1(log_phi)) - log_phi)
     return ops.branch(delta > -_LN2, _log_cdf_boundary, _log_cdf_bulk, n, g, log_phi, delta)
 
 
 def _log_cdf_bulk(ops, n, g, log_phi, delta):
-    return ops.branch(delta > _DEAD_DELTA, _log_cdf_tail, _log_cdf_power, n, log_phi, delta)
+    return ops.branch(delta > _DEAD_DELTA, _log_cdf_tail, _log_cdf_power, n, g, log_phi, delta)
 
 
-def _log_cdf_tail(ops, n, log_phi, delta):
+def _log_cdf_tail(ops, n, g, log_phi, delta):
     return n * log_phi + ops.log1p(-ops.exp(delta))
 
 
-def _log_cdf_power(ops, n, log_phi, delta):
+def _log_cdf_power(ops, n, g, log_phi, delta=None):
+    """log Phi^n; the density takes log Phi^(n-1) here too."""
+    # a subnormal 1 - Phi (delta < -1400 there) leaves log Phi without its bits
+    if ops.greatest(log_phi) > -_TINY:
+        return ops.branch(log_phi > -_TINY, _log_cdf_subnormal, _log_cdf_normal, n, g, log_phi)
     return n * log_phi
+
+
+def _log_cdf_normal(ops, n, g, log_phi):
+    return n * log_phi
+
+
+def _log_cdf_subnormal(ops, n, g, log_phi):
+    # n*log Phi = -n*(1 - Phi), with log(1 - Phi) in full precision
+    return -ops.exp(math.log(n) + ops.native(ops.log_ndtr(-g)))
 
 
 def _log_cdf_boundary(ops, n, g, log_phi, delta):
@@ -133,7 +177,7 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     n = nc.n
     log_phi = float(log_ndtr(g))
     log_surv = float(log_ndtr(-g))
-    log_pair = _logaddexp((n - 1.0) * log_phi, (n - 1.0) * log_surv)
+    log_pair = _logaddexp(_log_cdf_power(_ScalarOps, n - 1.0, g, log_phi), (n - 1.0) * log_surv)
     # g' underflows to 0 next to the boundary when t is small
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0
@@ -148,10 +192,13 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     points get NaN.
     """
     xs = np.asarray(xs, dtype=float)
-    arg = nc.c * xs + nc.d
-    ok = ~(arg <= 0.0)  # a NaN point goes through the kernel and stays NaN
     # points off the support give nan/inf in the kernel and are discarded;
-    # on it, log 0 = -inf is overwritten by a branch, or F = 0
+    # on it, log 0 = -inf is overwritten by a branch, or F = 0; c*x overflows
+    # to -inf (off the support) or inf (F = 1)
     with np.errstate(all="ignore"):
+        arg = nc.c * xs + nc.d
         log_cdf = _log_cdf(_ArrayOps, nc.n, arg ** (1.0 / nc.t))
-        return np.exp(log_cdf, out=np.zeros(xs.shape), where=ok)
+        if arg.min(initial=1.0) > 0.0:  # every point on the support, none NaN
+            return np.exp(log_cdf, out=np.empty(xs.shape))
+        # a NaN point goes through the kernel and stays NaN
+        return np.exp(log_cdf, out=np.zeros(xs.shape), where=~(arg <= 0.0))

@@ -3,16 +3,17 @@ approximations to the distribution and density of normalized powered maxima.
 
 Both approximation families share the scale factor B = b^(-2-2*[t=2]): the
 distribution expands as Lambda + B*Lambda'*(k1 + k2/b^2 + ...), the density
-as Lambda'*(1 + B*(varpi + tau/b^2 + ...)). The intermediate survival-power
-and density-factor expansions are exposed as diagnostics; they multiply out
-to the same coefficients, which the test suite exploits as a consistency
-check.
+as Lambda'*(1 + B*(varpi + tau/b^2 + ...)). The survival-power and
+density-factor expansions multiply out to the same coefficients; the test
+suite rebuilds them from ``_density_factor_terms`` as a consistency check.
 
 One kernel evaluates the six coefficients at a point into their named
 record, from the e^{-x} that the Gumbel helper computed for Lambda and
 Lambda' there, so each approximation takes one exponential and one
 coefficient pass per call; ``coefficients`` checks x and calls the same
-kernel.
+kernel. The approximations take t from a NormingConstants, whose
+constructor checked it, so the kernel re-checks only a t that is not a
+positive finite float.
 """
 from __future__ import annotations
 
@@ -22,8 +23,10 @@ from typing import NamedTuple
 
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError
-from .norming import NormingConstants, _power_index, transformed_quantile
-from .special_functions import Probability, _gumbel, _require_finite
+from .norming import NormingConstants, _power_index, _scales
+from .special_functions import Probability, _from_raw, _gumbel, _require_finite
+
+_isfinite = math.isfinite
 
 
 class ApproxOrder(enum.Enum):
@@ -34,6 +37,10 @@ class ApproxOrder(enum.Enum):
     SECOND = "second"
     THIRD = "third"
     EXACT = "exact"
+
+
+# An enum member is a class attribute lookup per use; these are module globals
+_LIMIT, _SECOND, _EXACT = ApproxOrder.LIMIT, ApproxOrder.SECOND, ApproxOrder.EXACT
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -70,34 +77,30 @@ def _density_factor_terms(t: float, x: float) -> tuple[float, float]:
 def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
     """The six coefficients at a finite float x, emx = e^{-x}, with the
     DomainError that ``coefficients`` documents."""
-    t = _power_index(t)
+    if not (type(t) is float and 0.0 < t < math.inf):  # nc.t passed this already
+        t = _power_index(t)
     try:
         first, second = _density_factor_terms(t, x)
         if t == 2.0:
             theta1 = 3.5 + 3.0 * x + x * x
             theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
-            co = ExpansionCoefficients(-theta1, theta2, first - emx * theta1,
-                                       emx * theta2 - second, theta1, theta2, True)
+            k1, k2 = -theta1, theta2
+            varpi, tau = first - emx * theta1, emx * theta2 - second
         else:
             theta1 = 1.0 + x + 0.5 * (2.0 - t) * x * x
             theta2 = (3.0 + 3.0 * x + 1.5 * x * x
                       + (2.0 - t) * (2.0 * t + 1.0) / 6.0 * x ** 3
                       + (t - 2.0) ** 2 / 8.0 * x ** 4)
-            k2 = -(theta2 - 0.5 * emx * theta1 * theta1)
-            co = ExpansionCoefficients(theta1, k2, x * first + emx * theta1,
-                                       x * emx * first * theta1 + second + emx * k2,
-                                       theta1, theta2, False)
-        # each on its own: x*x products reach inf without an OverflowError
-        if not all(map(math.isfinite, co[:6])):
-            raise OverflowError
-        return co
+            k1, k2 = theta1, -(theta2 - 0.5 * emx * theta1 * theta1)
+            varpi = x * first + emx * theta1
+            tau = x * emx * first * theta1 + second + emx * k2
     except OverflowError:
         raise DomainError(f"expansion coefficients overflow at x={x}") from None
-
-
-def _exp_neg(x: float) -> float:
-    """e^{-x}, taken as inf below -709 as in _gumbel, where math.exp overflows."""
-    return math.exp(-x) if x > -709.0 else math.inf
+    # each on its own: x*x products reach inf without an OverflowError; theta1
+    # is +-k1, and theta2 is finite where k2 is
+    if not (_isfinite(k1) and _isfinite(k2) and _isfinite(varpi) and _isfinite(tau)):
+        raise DomainError(f"expansion coefficients overflow at x={x}")
+    return ExpansionCoefficients(k1, k2, varpi, tau, theta1, theta2, t == 2.0)
 
 
 def coefficients(t: float, x: float) -> ExpansionCoefficients:
@@ -107,7 +110,8 @@ def coefficients(t: float, x: float) -> ExpansionCoefficients:
     coefficient inf or nan, is a DomainError.
     """
     x = _require_finite(x)
-    return _coefficients(t, x, _exp_neg(x))  # the kernel refuses the inf terms
+    # e^{-x} as inf below -709, as in _gumbel; the kernel refuses the inf terms
+    return _coefficients(t, x, math.exp(-x) if x > -709.0 else math.inf)
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:
@@ -119,15 +123,16 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     value retained, since convergence diagnostics need unclamped residuals.
     """
     order = order if type(order) is ApproxOrder else ApproxOrder(order)
-    if order is ApproxOrder.EXACT:
+    if order is _EXACT:
         return powex.exact_law.exact_cdf(nc, x)
     x = _require_finite(x)
     emx, lam, lam_pdf = _gumbel(x)
-    if order is ApproxOrder.LIMIT:
+    if order is _LIMIT:
         return Probability(lam, -emx)
     co = _coefficients(nc.t, x, emx)
-    correction = co.k1 if order is ApproxOrder.SECOND else co.k1 + co.k2 / nc.b_squared
-    return Probability.from_raw(lam + 1.0 / nc.error_scale * lam_pdf * correction)
+    u, scale = _scales(nc)
+    correction = co.k1 if order is _SECOND else co.k1 + co.k2 / u
+    return _from_raw(lam + 1.0 / scale * lam_pdf * correction)
 
 
 class Density(NamedTuple):
@@ -150,53 +155,16 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     at 0 with the flag set.
     """
     order = order if type(order) is ApproxOrder else ApproxOrder(order)
-    if order is ApproxOrder.EXACT:
+    if order is _EXACT:
         return Density(powex.exact_law.exact_pdf(nc, x))
     x = _require_finite(x)
     emx, _, lam_pdf = _gumbel(x)
-    if order is ApproxOrder.LIMIT:
+    if order is _LIMIT:
         return Density(lam_pdf)
     co = _coefficients(nc.t, x, emx)
-    correction = co.varpi if order is ApproxOrder.SECOND else co.varpi + co.tau / nc.b_squared
-    raw = lam_pdf * (1.0 + 1.0 / nc.error_scale * correction)
+    u, scale = _scales(nc)
+    correction = co.varpi if order is _SECOND else co.varpi + co.tau / u
+    raw = lam_pdf * (1.0 + 1.0 / scale * correction)
     if raw >= 0.0:
         return Density(raw)
     return Density(0.0, True, raw)
-
-
-def nu_expansion(nc: NormingConstants, x: float) -> float:
-    """Expansion of the survival-power factor Phi^{n-1}(g) - (1-Phi(g))^{n-1}.
-
-    Truncated after the b^-4 term for t != 2 and the b^-6 term for t = 2
-    (the t = 2 leading correction only enters at b^-4). Diagnostic: together
-    with ``density_factor_expansion`` it reproduces the density expansion.
-    """
-    transformed_quantile(nc, x)  # domain check only: requires c*x + d > 0
-    x = float(x)
-    u = nc.b_squared
-    emx, lam, _ = _gumbel(x)
-    co = _coefficients(nc.t, x, emx)
-    if nc.is_two:
-        return lam * (1.0 - emx / (u * u) * co.theta1 + emx / (u ** 3) * co.theta2)
-    return lam * (1.0 + emx / u * co.theta1
-                  - emx / (u * u) * (co.theta2 - 0.5 * emx * co.theta1 ** 2))
-
-
-def density_factor_expansion(nc: NormingConstants, x: float) -> float:
-    """Expansion of the density factor n * d/dx Phi((c*x + d)^(1/t)).
-
-    Truncated at b^-4 for t != 2 and b^-6 for t = 2; the leading term is
-    e^{-x} in both branches. A factor past the float range is a DomainError.
-    """
-    transformed_quantile(nc, x)  # domain check only
-    u = nc.b_squared
-    x = float(x)
-    emx = _exp_neg(x)
-    first, second = _density_factor_terms(nc.t, x)
-    if nc.is_two:
-        factor = emx * (1.0 + first / (u * u) - second / u ** 3)
-    else:
-        factor = emx * (1.0 + x * first / u + second / (u * u))
-    if not math.isfinite(factor):
-        raise DomainError(f"density factor expansion overflows at x={x}")
-    return factor

@@ -49,8 +49,13 @@ class NormingConstants(NamedTuple):
     @property
     def error_scale(self) -> float:
         """b^(2+2*[t=2]): the expansions' corrections are O(1/error_scale)."""
-        u = self.b_squared
-        return u * u if self.is_two else u
+        return _scales(self)[1]
+
+
+def _scales(nc: NormingConstants) -> tuple[float, float]:
+    """(b_squared, error_scale) of nc in one call."""
+    u = nc.b * nc.b
+    return u, u * u if nc.is_two else u
 
 
 def solve_b(n: float) -> float:

@@ -22,6 +22,19 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 MAX_SERIES_ORDER = 12
 
 
+_tuple_new = tuple.__new__
+
+
+def _from_raw(raw: float) -> Probability:
+    """``raw`` clamped to [0, 1]; flagged and retained when out of range."""
+    if 0.0 <= raw <= 1.0:
+        # tuple.__new__ skips the NamedTuple's generated __new__ and its defaults
+        return _tuple_new(Probability, (raw, math.log(raw) if raw > 0.0 else -math.inf,
+                                        False, None))
+    value = min(max(raw, 0.0), 1.0)
+    return Probability(value, math.log(value) if value > 0.0 else -math.inf, True, raw)
+
+
 class Probability(NamedTuple):
     """A probability with its natural log carried for tail-safe composition.
 
@@ -35,13 +48,7 @@ class Probability(NamedTuple):
     clamped: bool = False
     raw: float | None = None
 
-    @classmethod
-    def from_raw(cls, raw: float) -> Probability:
-        """``raw`` clamped to [0, 1]; flagged and retained when out of range."""
-        if 0.0 <= raw <= 1.0:
-            return cls(raw, math.log(raw) if raw > 0.0 else -math.inf)
-        value = min(max(raw, 0.0), 1.0)
-        return cls(value, math.log(value) if value > 0.0 else -math.inf, True, raw)
+    from_raw = staticmethod(_from_raw)
 
     @property
     def unclamped(self) -> float:

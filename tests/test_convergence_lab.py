@@ -93,10 +93,6 @@ class TestErrorCurve:
             error_curve(1.0, 0.0, [1e3], ApproxOrder.THIRD, target="pdf",
                         scaling=Scaling.HALL_SCALED)
 
-    def test_sign_changes(self):
-        assert synthetic_curve([1.0, -1.0, 1.0, 1.0], [2.0, 3.0, 4.0, 5.0]).sign_changes == 2
-        assert synthetic_curve([1.0, 0.0, 1.0], [2.0, 3.0, 4.0]).sign_changes == 0
-
 
 class TestRateFit:
     def test_exact_power_law(self):

@@ -22,7 +22,7 @@ from powex import (
     survival,
     transformed_quantile,
 )
-from powex.exact_law import _logaddexp
+from powex.exact_law import _ArrayOps, _logaddexp
 
 
 def rel_err(got: float, want: float) -> float:
@@ -275,6 +275,12 @@ class TestExactCdfValues:
         assert math.isnan(with_nan[2])
         assert np.delete(with_nan, 2).tobytes() == exact_cdf_values(nc, xs).tobytes()
 
+    def test_overflowing_points_warn_nothing(self):
+        # c*x passes the float range (c is about 1.7e4); RuntimeWarnings are
+        # errors in this suite
+        nc = norming_constants(1e6, 7.0)
+        assert exact_cdf_values(nc, np.array([-1e306, 1e306])).tolist() == [0.0, 1.0]
+
     def test_empty_and_shape(self):
         nc = norming_constants(1000.0, 1.0)
         assert exact_cdf_values(nc, np.array([])).shape == (0,)
@@ -403,3 +409,54 @@ class TestFrozenBytes:
         assert out.shape == shape and out.dtype == np.float64
         flat = exact_cdf_values(nc, np.asarray(xs, dtype=float).ravel())
         assert out.ravel().tobytes() == flat.tobytes()
+
+
+class TestPowerShortcut:
+    """On a grid wholly on the support the array kernel settles every point
+    with the bound delta <= n*(log(-y) - y) at the least y = log Phi, and
+    skips the delta pass; the lock arrays hold NaN and boundary points, so
+    their digests never take it."""
+
+    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_law_grid_has_the_lock_bytes(self, t, n, monkeypatch):
+        nc = norming_constants(n, t)
+        locked = exact_cdf_values(nc, lock_points(nc))[:LAW_GRID.size]
+        delta_passes = []
+        monkeypatch.setattr(_ArrayOps, "expm1", lambda v: delta_passes.append(1) or np.expm1(v))
+        grid = exact_cdf_values(nc, LAW_GRID)
+        # the bound holds on the whole grid from n = 1e3 on, at none of n <= 100
+        assert (not delta_passes) == (n >= 1e3)
+        assert grid.tobytes() == locked.tobytes()
+        # the scalar path agrees up to the ulps by which math's and numpy's
+        # ** give g, times the conditioning of n*log Phi (5e-14 at most here)
+        for x, value in zip(LAW_GRID.tolist(), grid.tolist()):
+            if nc.c * x + nc.d > 0.0:
+                assert rel_err(exact_cdf(nc, x).value, value) < 1e-13
+            else:
+                assert value == 0.0
+
+
+class TestSubnormalTail:
+    """Where 1 - Phi(g) is subnormal (g > 37.5) log Phi has lost its bits,
+    down to 0 from g = 37.8 on; n*log Phi then comes from log(1 - Phi)."""
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("x", [20.0, 25.0, 30.0, 35.0])
+    def test_against_oracle_at_same_g(self, t, x):
+        n = 1e300
+        nc = norming_constants(n, t)
+        g, dg_dx = transformed_quantile(nc, x)
+        s = oracles.hp_survival(g)
+        assert s < 2.2e-308
+        want = n * oracles.mp.log1p(-s)  # s^n is far below it
+        p = exact_cdf(nc, x)
+        assert rel_err(p.log_value, float(want)) < 1e-12
+        value = float(oracles.mp.exp(want))
+        assert abs(p.value - value) <= math.ulp(value)
+        # the whole-array shortcut, and the full path (a NaN point forces it)
+        for xs in ([x], [x, math.nan]):
+            assert abs(exact_cdf_values(nc, np.array(xs))[0] - value) <= math.ulp(value)
+        want_pdf = (n * oracles.hp_std_normal_pdf(g) * dg_dx
+                    * oracles.mp.exp((n - 1) * oracles.mp.log1p(-s)))
+        assert rel_err(exact_pdf(nc, x), float(want_pdf)) < 2e-12

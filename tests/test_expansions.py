@@ -21,20 +21,20 @@ import oracles
 from powex import (
     ApproxOrder,
     DomainError,
+    NormingConstants,
     coefficients,
     cdf_approx,
-    density_factor_expansion,
     exact_cdf,
     exact_pdf,
     gumbel_cdf,
     gumbel_pdf,
     norming_constants,
-    nu_expansion,
     pdf_approx,
     std_normal_pdf,
     survival,
     transformed_quantile,
 )
+from powex.expansions import _density_factor_terms
 
 
 def rel_err(got: float, want: float) -> float:
@@ -127,6 +127,32 @@ class TestCoefficients:
         # k2 and tau inf without an OverflowError
         with pytest.raises(DomainError, match="overflow"):
             coefficients(t, x)
+
+
+class TestHandBuiltPowerIndex:
+    """A NormingConstants built by hand skips norming_constants' check of t;
+    the approximations and coefficients still refuse a t that is not a
+    positive finite number, with the same error."""
+
+    @pytest.mark.parametrize("t,message", [
+        (0.0, "power index must be > 0, got 0.0"),
+        (-1.0, "power index must be > 0, got -1.0"),
+        (math.nan, "t must be finite, got nan"),
+        (math.inf, "t must be finite, got inf"),
+        (0, "power index must be > 0, got 0.0"),
+        (-1, "power index must be > 0, got -1.0"),
+    ])
+    def test_refused_with_the_same_message(self, t, message):
+        good = norming_constants(1000.0, 1.0)
+        nc = NormingConstants(good.n, t, good.b, good.c, good.d, False)
+        for approx in (cdf_approx, pdf_approx):
+            for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
+                with pytest.raises(DomainError) as exc:
+                    approx(nc, 0.5, order)
+                assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            coefficients(t, 0.5)
+        assert str(exc.value) == message
 
 
 class TestCdfApprox:
@@ -253,6 +279,33 @@ class TestOrderLookup:
             pdf_approx(nc, 0.5, order)
 
 
+# The survival-power factor nu and the density factor n * d/dx Phi(g) have
+# expansions whose product is the density expansion. No caller of the
+# library needs them, so they live here, built from the library's
+# coefficients and _density_factor_terms, and check both.
+
+def nu_expansion(nc, x: float) -> float:
+    """Phi^{n-1}(g) - (1 - Phi(g))^{n-1}, truncated after b^-4 (t != 2) or
+    b^-6 (t = 2, whose leading correction only enters at b^-4)."""
+    co = coefficients(nc.t, x)  # refuses an x where e^{-x} or a coefficient overflows
+    u = nc.b_squared
+    emx, lam = math.exp(-x), gumbel_cdf(x).value
+    if nc.is_two:
+        return lam * (1.0 - emx / (u * u) * co.theta1 + emx / (u ** 3) * co.theta2)
+    return lam * (1.0 + emx / u * co.theta1
+                  - emx / (u * u) * (co.theta2 - 0.5 * emx * co.theta1 ** 2))
+
+
+def density_factor_expansion(nc, x: float) -> float:
+    """n * d/dx Phi((c*x + d)^(1/t)), truncated at b^-4 (t != 2) or b^-6
+    (t = 2); the leading term is e^{-x} in both branches."""
+    u = nc.b_squared
+    first, second = _density_factor_terms(nc.t, x)
+    if nc.is_two:
+        return math.exp(-x) * (1.0 + first / (u * u) - second / u ** 3)
+    return math.exp(-x) * (1.0 + x * first / u + second / (u * u))
+
+
 class TestNuExpansion:
     def test_frozen_values(self):
         assert rel_err(nu_expansion(norming_constants(1000.0, 1.0), 0.0),
@@ -265,9 +318,7 @@ class TestNuExpansion:
            ts_general | st.just(2.0),
            st.floats(min_value=-1.0, max_value=4.0))
     def test_reproduces_third_order_cdf(self, log_n, t, x):
-        # Lambda(1 + e^{-x} theta-terms) multiplies out to the k1, k2 form;
-        # nu is defined on the support c*x + d > 0 only (test_domain_check
-        # covers the refusal below it)
+        # Lambda(1 + e^{-x} theta-terms) multiplies out to the k1, k2 form
         nc = norming_constants(math.exp(log_n), t)
         assume(nc.c * x + nc.d > 0.0)
         a = nu_expansion(nc, x)
@@ -287,14 +338,9 @@ class TestNuExpansion:
         assert gaps[0] < 50.0 / norming_constants(1e3, 1.0).b_squared ** 3
         assert gaps[1] < gaps[0] / 10.0
 
-    def test_domain_check(self):
-        nc = norming_constants(1000.0, 2.0)
-        with pytest.raises(DomainError):
-            nu_expansion(nc, -nc.d / nc.c - 0.1)
-
     def test_left_tail_past_the_exp_range(self):
-        # on the support (x_min is about -2.3e3 here), but e^{-x} overflows;
-        # this was a bare OverflowError
+        # on the support (x_min is about -2.3e3 here), but e^{-x} overflows:
+        # the coefficients refuse the point
         nc = norming_constants(1e150, 0.3)
         with pytest.raises(DomainError, match="overflow at x=-710.0"):
             nu_expansion(nc, -710.0)
@@ -335,16 +381,26 @@ class TestDensityFactorExpansion:
             assert devs[0] < 0.2
             assert devs[2] < devs[1] < devs[0]
 
-    def test_domain_check(self):
-        nc = norming_constants(1000.0, 1.0)
-        with pytest.raises(DomainError):
-            density_factor_expansion(nc, -nc.d / nc.c - 1.0)
-
-    @pytest.mark.parametrize("x", [-709.5, -710.0])
-    def test_left_tail_past_the_exp_range(self, x):
-        # on the support (x_min is about -743.4 here); -709.5 returned inf
-        # and -710.0 was a bare OverflowError
-        nc = norming_constants(1e50, 0.3)
-        assert -nc.d / nc.c < x
-        with pytest.raises(DomainError, match=f"overflows at x={x}"):
-            density_factor_expansion(nc, x)
+    @settings(max_examples=80)
+    @given(st.floats(min_value=math.log(10.0), max_value=math.log(1e12)),
+           ts_general | st.just(2.0),
+           st.floats(min_value=-1.0, max_value=4.0))
+    def test_product_is_the_density_expansion(self, log_n, t, x):
+        # with nu = Lambda(1 + s1/u^a + s2/u^(a+1)) and the factor
+        # e^{-x}(1 + d1/u^a + d2/u^(a+1)), u = b^2 and a = 1 + [t=2], the
+        # product is Lambda'(1 + varpi/u^a + tau/u^(a+1)) plus the cross
+        # terms past the third order
+        nc = norming_constants(math.exp(log_n), t)
+        assume(nc.c * x + nc.d > 0.0)
+        co = coefficients(t, x)
+        first, second = _density_factor_terms(t, x)
+        u, emx = nc.b_squared, math.exp(-x)
+        if nc.is_two:
+            s1, s2, d1, d2 = -emx * co.theta1, emx * co.theta2, first, -second
+            rest = s1 * d1 / u ** 4 + (s1 * d2 + s2 * d1) / u ** 5 + s2 * d2 / u ** 6
+        else:
+            s1, s2, d1, d2 = emx * co.theta1, emx * co.k2, x * first, second
+            rest = (s1 * d2 + s2 * d1) / u ** 3 + s2 * d2 / u ** 4
+        product = nu_expansion(nc, x) * density_factor_expansion(nc, x)
+        want = pdf_approx(nc, x, ApproxOrder.THIRD).unfloored + gumbel_pdf(x) * rest
+        assert abs(product - want) < 1e-13 * max(1.0, abs(want))

@@ -98,3 +98,11 @@ def test_submodules_and_star_import():
 def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         powex.frobnicate  # noqa: B018
+
+
+@pytest.mark.parametrize("name", ["nu_expansion", "density_factor_expansion"])
+def test_retired_names_are_gone(name):
+    # diagnostics with no caller; tests/test_expansions.py keeps local copies
+    assert name not in powex.__all__
+    with pytest.raises(AttributeError):
+        getattr(powex, name)
