@@ -133,7 +133,6 @@ def _log_cdf_tail(ops, n, g, log_phi, delta):
 
 
 def _log_cdf_power(ops, n, g, log_phi, delta=None):
-    """log Phi^n; the density takes log Phi^(n-1) here too."""
     # a subnormal 1 - Phi (delta < -1400 there) leaves log Phi without its bits
     if ops.greatest(log_phi) > -_TINY:
         return ops.branch(log_phi > -_TINY, _log_cdf_subnormal, _log_cdf_normal, n, g, log_phi)
@@ -177,7 +176,10 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     n = nc.n
     log_phi = float(log_ndtr(g))
     log_surv = float(log_ndtr(-g))
-    log_pair = _logaddexp(_log_cdf_power(_ScalarOps, n - 1.0, g, log_phi), (n - 1.0) * log_surv)
+    # log Phi^(n-1), as _log_cdf_power takes log Phi^n
+    log_power = ((n - 1.0) * log_phi if log_phi <= -_TINY
+                 else _log_cdf_subnormal(_ScalarOps, n - 1.0, g, log_phi))
+    log_pair = _logaddexp(log_power, (n - 1.0) * log_surv)
     # g' underflows to 0 next to the boundary when t is small
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0
