@@ -228,8 +228,7 @@ def naive_t2_constants(n: float) -> NormingConstants:
     acceptance suite quantifies.
     """
     b = solve_b(n)
-    return NormingConstants(n=float(n), t=2.0, b=b, c=2.0, d=b * b,
-                            is_two=True, near_two=False)
+    return NormingConstants(float(n), 2.0, b, 2.0, b * b)
 
 
 def default_n_grid(start: float = 1e3, stop: float = 1e12, factor: float = 10.0) -> list[float]:

@@ -47,9 +47,9 @@ class ExpansionCoefficients(NamedTuple):
     """All six expansion coefficients at a fixed (t, x).
 
     For t != 2, theta1/theta2 are the survival-power expansion coefficients
-    and k1 equals theta1. For t = 2 (``is_two`` set) the same fields carry
-    the inline t = 2 coefficients 7/2 + 3x + x^2 and
-    43/3 + 14x + 6x^2 + (4/3)x^3, which enter with opposite signs.
+    and k1 equals theta1. For t == 2.0 the same fields carry the inline
+    t = 2 coefficients 7/2 + 3x + x^2 and 43/3 + 14x + 6x^2 + (4/3)x^3,
+    which enter with opposite signs. The record does not store t.
     """
 
     k1: float
@@ -58,7 +58,6 @@ class ExpansionCoefficients(NamedTuple):
     tau: float
     theta1: float
     theta2: float
-    is_two: bool
 
 
 def _density_factor_terms(t: float, x: float) -> tuple[float, float]:
@@ -100,7 +99,7 @@ def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
     # is +-k1, and theta2 is finite where k2 is
     if not (_isfinite(k1) and _isfinite(k2) and _isfinite(varpi) and _isfinite(tau)):
         raise DomainError(f"expansion coefficients overflow at x={x}")
-    return ExpansionCoefficients(k1, k2, varpi, tau, theta1, theta2, t == 2.0)
+    return ExpansionCoefficients(k1, k2, varpi, tau, theta1, theta2)
 
 
 def coefficients(t: float, x: float) -> ExpansionCoefficients:
@@ -110,8 +109,8 @@ def coefficients(t: float, x: float) -> ExpansionCoefficients:
     coefficient inf or nan, is a DomainError.
     """
     x = _require_finite(x)
-    # e^{-x} as inf below -709, as in _gumbel; the kernel refuses the inf terms
-    return _coefficients(t, x, math.exp(-x) if x > -709.0 else math.inf)
+    # _gumbel's e^{-x} is inf below -709; the kernel refuses the inf terms
+    return _coefficients(t, x, _gumbel(x)[0])
 
 
 def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probability:

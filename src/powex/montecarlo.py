@@ -64,9 +64,11 @@ MAX_REPS = 10 ** 7
 # Words per chunk: each of W threads fills chunks of _CHUNK_TARGET_DRAWS // n
 # replicates, whose (k, n) uint64 words, about 1 MB, stay in L2 while the
 # row max reads them n times; each thread keeps one (k,) uint64 buffer for
-# the row maxima. A chunk is addressed by its Philox position, so chunk size
-# and thread count are memory and speed knobs only: values are identical for
-# any of them.
+# the row maxima. An n above it is one replicate per chunk, whose words are
+# drawn and reduced _CHUNK_TARGET_DRAWS at a time, so no chunk holds more
+# than about 1 MB of words. A chunk is addressed by its Philox position, so
+# chunk size and thread count are memory and speed knobs only: values are
+# identical for any of them.
 _CHUNK_TARGET_DRAWS = 2 ** 17
 
 # Knot spacing of ks_check; D is the same for any stride. At 32 the
@@ -201,14 +203,17 @@ def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, first: int, seed: int,
     bit_generator = np.random.Philox(key=seed)
     bit_generator.advance(first // 4)  # one counter step yields four words
     bit_generator.random_raw(first % 4, output=False)  # the words before ``first``
-    words = bit_generator.random_raw(k * n).reshape(k, n)
     top = buffer[:k]
-    if n <= _COLUMN_MAX_N:
+    if n > _CHUNK_TARGET_DRAWS:  # one replicate (k = 1): its words a chunk at a time
+        top[0] = max(bit_generator.random_raw(min(_CHUNK_TARGET_DRAWS, n - done)).max()
+                     for done in range(0, n, _CHUNK_TARGET_DRAWS))
+    elif n <= _COLUMN_MAX_N:
+        words = bit_generator.random_raw(k * n).reshape(k, n)
         np.copyto(top, words[:, 0])
         for j in range(1, n):
             np.maximum(top, words[:, j], out=top)
     else:
-        words.max(axis=1, out=top)
+        bit_generator.random_raw(k * n).reshape(k, n).max(axis=1, out=top)
     # numpy's Philox double is (word >> 11) * 2**-53, monotone in the word
     np.right_shift(top, 11, out=top)
     np.multiply(top, 2.0 ** -53, out=dst)

@@ -17,10 +17,6 @@ from typing import NamedTuple
 from .errors import DomainError
 from .special_functions import LOG_2PI, _require_finite
 
-# The t != 2 and t = 2 expansions do not join continuously; results this
-# close to the branch point get a warning flag.
-NEAR_TWO_WINDOW = 1e-3
-
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-15
 
@@ -29,9 +25,7 @@ class NormingConstants(NamedTuple):
     """The tuple (n, t, b, c, d) tying a sample size and power index to its
     normalization.
 
-    The t = 2 branch (``is_two``) is selected by exact comparison;
-    ``near_two`` marks indices within (0, 1e-3) of 2, where the t != 2
-    expansion degrades without the t = 2 formulas applying.
+    The t = 2 branch is ``t == 2.0`` exactly; no other field records it.
     """
 
     n: float
@@ -39,8 +33,6 @@ class NormingConstants(NamedTuple):
     b: float
     c: float
     d: float
-    is_two: bool
-    near_two: bool = False
 
     @property
     def b_squared(self) -> float:
@@ -55,7 +47,7 @@ class NormingConstants(NamedTuple):
 def _scales(nc: NormingConstants) -> tuple[float, float]:
     """(b_squared, error_scale) of nc in one call."""
     u = nc.b * nc.b
-    return u, u * u if nc.is_two else u
+    return u, u * u if nc.t == 2.0 else u
 
 
 def solve_b(n: float) -> float:
@@ -100,8 +92,7 @@ def norming_constants(n: float, t: float) -> NormingConstants:
     t = _power_index(t)
     b = solve_b(n)
     u = b * b
-    is_two = t == 2.0
-    if is_two:
+    if t == 2.0:
         if u <= 1.0:
             raise DomainError(
                 f"t=2 norming needs b^2 > 1, i.e. n > sqrt(2*pi*e) ~ 4.133; got n={n}"
@@ -114,8 +105,7 @@ def norming_constants(n: float, t: float) -> NormingConstants:
             d = b ** t
         except OverflowError:
             raise DomainError(f"norming constants overflow at n={n}, t={t}") from None
-    return NormingConstants(n=float(n), t=t, b=b, c=c, d=d, is_two=is_two,
-                            near_two=0.0 < abs(t - 2.0) < NEAR_TWO_WINDOW)
+    return NormingConstants(float(n), t, b, c, d)
 
 
 class TransformedQuantile(NamedTuple):

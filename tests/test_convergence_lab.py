@@ -170,8 +170,7 @@ class TestNaiveT2:
         nc = naive_t2_constants(1e6)
         b = solve_b(1e6)
         assert nc.c == 2.0
-        assert nc.d == b * b
-        assert nc.is_two
+        assert nc == (1e6, 2.0, b, 2.0, b * b)
 
     def test_adjustment_beats_naive(self):
         lam = gumbel_cdf(0.0).value

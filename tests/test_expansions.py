@@ -54,7 +54,6 @@ class TestCoefficients:
             co = coefficients(t, 0.0)
             assert (co.k1, co.k2, co.varpi, co.tau) == (1.0, -2.5, 1.0, -2.5)
             assert (co.theta1, co.theta2) == (1.0, 3.0)
-            assert not co.is_two
 
     def test_values_at_zero_t2(self):
         co = coefficients(2.0, 0.0)
@@ -63,7 +62,6 @@ class TestCoefficients:
         assert co.varpi == -3.0
         assert co.tau == 43.0 / 3.0 - 1.0 / 3.0
         assert (co.theta1, co.theta2) == (3.5, 43.0 / 3.0)
-        assert co.is_two
 
     def test_t2_point_values(self):
         co = coefficients(2.0, 1.0)
@@ -144,7 +142,7 @@ class TestHandBuiltPowerIndex:
     ])
     def test_refused_with_the_same_message(self, t, message):
         good = norming_constants(1000.0, 1.0)
-        nc = NormingConstants(good.n, t, good.b, good.c, good.d, False)
+        nc = NormingConstants(good.n, t, good.b, good.c, good.d)
         for approx in (cdf_approx, pdf_approx):
             for order in (ApproxOrder.SECOND, ApproxOrder.THIRD):
                 with pytest.raises(DomainError) as exc:
@@ -260,6 +258,32 @@ FROZEN_T2_PDF = {"limit": 0.3307042988904181, "second": 0.3239127306607948,
                  "third": 0.3282361715262478, "exact": 0.3264030722009036}
 
 
+def third_order_sup_error(target: str, t: float) -> float:
+    """Largest |third order - exact| at n = 1e6 over x = -1.5, -1.25, ..., 4."""
+    nc = norming_constants(1e6, t)
+    xs = [-1.5 + 0.25 * i for i in range(23)]
+    if target == "cdf":
+        return max(abs(cdf_approx(nc, x, ApproxOrder.THIRD).unclamped
+                       - exact_cdf(nc, x).value) for x in xs)
+    return max(abs(pdf_approx(nc, x, ApproxOrder.THIRD).unfloored - exact_pdf(nc, x))
+               for x in xs)
+
+
+class TestNoDegradationNearTwo:
+    """The t != 2 expansion runs smoothly up to t = 2: only t == 2.0 takes
+    the t = 2 formulas, and no index beside it needs a flag."""
+
+    @pytest.mark.parametrize("target", ["cdf", "pdf"])
+    def test_sup_error_is_continuous_through_the_branch_point(self, target):
+        lo, hi = sorted((third_order_sup_error(target, 1.99),
+                         third_order_sup_error(target, 2.01)))
+        at_two = third_order_sup_error(target, 2.0)
+        for t in (1.999, 1.9999999, 2.0000001, 2.0005):
+            err = third_order_sup_error(target, t)
+            assert 0.99 * lo <= err <= 1.01 * hi, t
+            assert err >= 3.0 * at_two, t
+
+
 class TestOrderLookup:
     @pytest.mark.parametrize("order", list(ApproxOrder))
     def test_member_and_value_give_the_frozen_numbers(self, order):
@@ -290,7 +314,7 @@ def nu_expansion(nc, x: float) -> float:
     co = coefficients(nc.t, x)  # refuses an x where e^{-x} or a coefficient overflows
     u = nc.b_squared
     emx, lam = math.exp(-x), gumbel_cdf(x).value
-    if nc.is_two:
+    if nc.t == 2.0:
         return lam * (1.0 - emx / (u * u) * co.theta1 + emx / (u ** 3) * co.theta2)
     return lam * (1.0 + emx / u * co.theta1
                   - emx / (u * u) * (co.theta2 - 0.5 * emx * co.theta1 ** 2))
@@ -301,7 +325,7 @@ def density_factor_expansion(nc, x: float) -> float:
     (t = 2); the leading term is e^{-x} in both branches."""
     u = nc.b_squared
     first, second = _density_factor_terms(nc.t, x)
-    if nc.is_two:
+    if nc.t == 2.0:
         return math.exp(-x) * (1.0 + first / (u * u) - second / u ** 3)
     return math.exp(-x) * (1.0 + x * first / u + second / (u * u))
 
@@ -395,7 +419,7 @@ class TestDensityFactorExpansion:
         co = coefficients(t, x)
         first, second = _density_factor_terms(t, x)
         u, emx = nc.b_squared, math.exp(-x)
-        if nc.is_two:
+        if nc.t == 2.0:
             s1, s2, d1, d2 = -emx * co.theta1, emx * co.theta2, first, -second
             rest = s1 * d1 / u ** 4 + (s1 * d2 + s2 * d1) / u ** 5 + s2 * d2 / u ** 6
         else:

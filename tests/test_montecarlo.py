@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestSimulate:
         (17, 30, 100, False),
         (32, 30, 100, False),  # the largest n that uses the column loop
         (33, 30, 100, False),  # max(axis=1)
-        (7, 3, 5, False),  # fewer replicates than workers: one chunk each
+        (7, 3, 5, False),  # fewer replicates than workers: one chunk each, in 5-word segments
     ])
     def test_bytes_do_not_depend_on_worker_count(
             self, monkeypatch, workers, n, reps, chunk_draws, every_offset_mod_4):
@@ -199,6 +200,27 @@ class TestSimulate:
         assert simulate_block_maxima(nc, 10, 0).reps == 10
         with pytest.raises(ResourceError, match="replicate budget"):
             simulate_block_maxima(nc, 11, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_larger_than_a_chunk_is_drawn_in_bounded_segments(
+            self, monkeypatch, workers):
+        # n > _CHUNK_TARGET_DRAWS leaves one replicate per chunk; its 8 MB of
+        # words must not be drawn at once, and the segments must give the
+        # bytes of one pass over the stream
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        n, reps, t, seed = 2 ** 20 + 3, 2, 1.0, 2 ** 63 + 5
+        nc = norming_constants(float(n), t)
+        tracemalloc.start()
+        try:
+            sample = simulate_block_maxima(nc, reps, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        z = ndtri(rng.random((reps, n)))
+        want = (np.abs(z.max(axis=1)) ** t - nc.d) / nc.c
+        assert sample.values.tobytes() == want.tobytes()
 
 
 class TestKsCheck:

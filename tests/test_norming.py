@@ -69,13 +69,13 @@ class TestNormingConstants:
         assert rel_err(nc.b, oracles.B_1000) < 1e-14
         assert rel_err(nc.c, oracles.C_1000_T1) < 1e-14
         assert nc.d == nc.b
-        assert not nc.is_two and not nc.near_two
+        assert nc == (1000.0, 1.0, nc.b, nc.c, nc.d)
 
     def test_frozen_t2(self):
         nc = norming_constants(1000.0, 2.0)
         assert rel_err(nc.c, oracles.C_1000_T2) < 1e-14
         assert rel_err(nc.d, oracles.D_1000_T2) < 1e-14
-        assert nc.is_two and not nc.near_two
+        assert nc == (1000.0, 2.0, nc.b, nc.c, nc.d)
 
     def test_t1_relations(self):
         nc = norming_constants(12345.0, 1.0)
@@ -128,21 +128,12 @@ class TestNormingConstants:
             norming_constants(1e6, 1000.0)
 
 
-class TestNearTwo:
-    def test_branch_discontinuity_is_flagged(self):
-        # the t = 2 formulas do not continue the t != 2 ones: c jumps from
-        # ~2 to 2(1 - 1/b^2)
-        nc = norming_constants(1000.0, 2.0 - 1e-12)
-        assert nc.near_two and not nc.is_two
-        assert abs(nc.c - 2.0) < 1e-9
+class TestBranchPoint:
+    def test_c_jumps_at_t_two(self):
+        # t == 2.0 alone selects the t = 2 formulas, which do not continue
+        # the t != 2 ones: c jumps from ~2 to 2(1 - 1/b^2)
+        assert abs(norming_constants(1000.0, 2.0 - 1e-12).c - 2.0) < 1e-9
         assert abs(norming_constants(1000.0, 2.0).c - 1.7939205107404277) < 1e-12
-
-    def test_window_edges(self):
-        assert norming_constants(1000.0, 2.0 + 0.5e-3).near_two
-        assert not norming_constants(1000.0, 2.0 + 2e-3).near_two
-        assert not norming_constants(1000.0, 2.0).near_two
-        nc = norming_constants(1000.0, 1.9995)
-        assert nc.near_two and not nc.is_two
 
 
 class TestTransformedQuantile:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +107,20 @@ def test_retired_names_are_gone(name):
     assert name not in powex.__all__
     with pytest.raises(AttributeError):
         getattr(powex, name)
+
+
+def test_records_carry_no_derived_flags():
+    # t == 2.0 is the one record of the t = 2 branch
+    assert powex.NormingConstants._fields == ("n", "t", "b", "c", "d")
+    assert powex.ExpansionCoefficients._fields == (
+        "k1", "k2", "varpi", "tau", "theta1", "theta2")
+    assert not hasattr(powex.norming, "NEAR_TWO_WINDOW")
+
+
+def test_readme_public_api_is_all():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    head = "Public API (`powex.__all__`):"
+    paragraph = readme[readme.index(head) + len(head):].split("\n\n")[0]
+    names = re.findall(r"`([^`]+)`", paragraph)
+    assert sorted(names) == sorted(powex.__all__)
+    assert len(set(names)) == len(names)
