@@ -13,12 +13,16 @@ from scipy.special import log_ndtr, ndtri
 
 import oracles
 from powex import (
+    ApproxOrder,
     DomainError,
     PowexError,
+    cdf_approx,
+    coefficients,
     exact_cdf,
     exact_cdf_values,
     exact_pdf,
     norming_constants,
+    pdf_approx,
     survival,
     transformed_quantile,
 )
@@ -314,14 +318,21 @@ def lock_points(nc) -> np.ndarray:
     return np.concatenate([LAW_GRID, boundary, delta_window(nc), special])
 
 
+def sha256(values: list[float]) -> str:
+    return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def on_support(nc, xs: np.ndarray) -> list[float]:
+    return [x for x in xs.tolist() if math.isfinite(x) and nc.c * x + nc.d > 0.0]
+
+
 def lock_digests(t: float, n: float) -> tuple[str, str]:
     """sha256 of exact_cdf_values over lock_points, and of the scalar
     exact_cdf (value, log_value) pairs over its points on the support."""
     nc = norming_constants(n, t)
     xs = lock_points(nc)
     array = exact_cdf_values(nc, xs)
-    on_support = [x for x in xs.tolist() if math.isfinite(x) and nc.c * x + nc.d > 0.0]
-    scalar = np.array([exact_cdf(nc, x)[:2] for x in on_support], dtype=np.float64)
+    scalar = np.array([exact_cdf(nc, x)[:2] for x in on_support(nc, xs)], dtype=np.float64)
     return (hashlib.sha256(array.tobytes()).hexdigest(),
             hashlib.sha256(scalar.tobytes()).hexdigest())
 
@@ -372,6 +383,107 @@ EXACT_LAW_DIGESTS = {
 }
 
 
+# Inputs of the scalar byte locks: law_sweep's scalar grid, points where the
+# truncated orders leave [0, 1] or the coefficients overflow, and bad input
+GRID23 = [-1.5 + 0.25 * i for i in range(23)]  # perfbench law_sweep's scalar grid
+RECORD_X = GRID23 + [-800.0, -40.0, -8.0, -5.0, -3.0, 6.0, 10.0, 40.0, 800.0,
+                     math.inf, math.nan]
+BAND_N = (2.0, 10.0, 1e300)
+
+
+def band_points(nc) -> np.ndarray:
+    """x where g runs over [36.5, 39.5], across the subnormal 1 - Phi(g)."""
+    return (np.linspace(36.5, 39.5, 601) ** nc.t - nc.d) / nc.c
+
+
+def record_or_error(f, *args) -> str:
+    """repr of a result record (type, fields and flags), or of its error."""
+    try:
+        return repr(f(*args))
+    except PowexError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def scalar_digests(t: float, n: float) -> tuple[str, str]:
+    """sha256 of exact_pdf over lock_points on the support, and of every
+    coefficients, cdf_approx and pdf_approx record over RECORD_X at all
+    four orders."""
+    nc = norming_constants(n, t)
+    pdf = sha256([exact_pdf(nc, x) for x in on_support(nc, lock_points(nc))])
+    records = [record_or_error(coefficients, t, x) for x in RECORD_X]
+    for order in ApproxOrder:
+        records += [record_or_error(f, nc, x, order)
+                    for f in (cdf_approx, pdf_approx) for x in RECORD_X]
+    return pdf, hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def band_digest(t: float, n: float) -> str:
+    """sha256 of exact_pdf over band_points."""
+    nc = norming_constants(n, t)
+    return sha256([exact_pdf(nc, x) for x in on_support(nc, band_points(nc))])
+
+
+# scalar_digests at every (t, n) of LOCK_T x LOCK_N: (exact_pdf, records),
+# and band_digest at every (t, n) of LOCK_T x BAND_N but t = 2 at n = 2
+# (below n = 4.13 at t = 2). Frozen before the records skipped the
+# NamedTuple constructor and exact_pdf its dead survival term.
+SCALAR_DIGESTS = {
+    "0.5|10": ("221b4ebfa07433f6bfaec8f77d981cdeb1541643b446d36e219af52dc5888162",
+               "642dbcf6d2d59f06860974ea6e09ecba560a68e1ddac4af3b84e1829f990b81b"),
+    "0.5|100": ("9ebaebb9bb9b670a28d6cadee6a7cd16116a7bcf14d1481df08499e7e2e161f7",
+                "a9e3a5a33d3b481ae7d4aed14e32c1cff89540fcd3b062c1cd231109b6b9c300"),
+    "0.5|1000": ("fb61d8597b1636b1d7ac2a31be7fbb2fdb63cec8775c8afff62ac0a4b7fa86b8",
+                 "3303e8447df63d5f6bc1dbcc16be78975293efc42c83f6a629e2e65586a0a68e"),
+    "0.5|1e+06": ("df87b97dede597ddf84a282d33e72fa74b86e38e5d8122118e3502a3dab4fe31",
+                  "b8041915047256ed34ec2e5cbf4b143d0b75a2bbede013d3ea812366fdcf5f0c"),
+    "0.5|1e+12": ("e8b24d8d877abf8f80b0cca6fddbca2c2dc7a888ac16568f36aa76ec8f09e3b2",
+                  "ff8a2303a5c156a02d7a7ea1c4c48367dd488075bc894f1ff67a7638c92e1be7"),
+    "1|10": ("b632d290e4b5735afc5d791f90f4f8cec6fa34b91ff4db44eb7b278d19a3ae64",
+             "648cf3fbbed0ddfe851d98252ee80b4eb5a9b440db334ed3ac66c0dc5a1de000"),
+    "1|100": ("b7fb7c0b2f13a49b3b9255c062789b65a5c0547ba4f54c77ae920b194c8755b0",
+              "85d8e242b66c2fa9abef2ff0f4541955016b7b83449205d03e414e7ce2906f3b"),
+    "1|1000": ("3568e8f974299e59da3047224fcb0e499f01e1d7b7a74c58d06b2ab20a2f14d1",
+               "5b7be17f6ae8360127a1702652b11529fca74328b15e239ab6b310bba36e4522"),
+    "1|1e+06": ("0c0aa89be47fa854beac9dc40eb166d0f176a5e0f6cce186a3065b51c23da4b5",
+                "93e448d151d62c8587c7d58a830157b9294cdeb0c49a49a124eb7de42af19caf"),
+    "1|1e+12": ("74e1747c7164f7281afefa9b30f22c6034c401cdbfc82de63c881a0a81372758",
+                "6396a0d1d56aec43c056268e370b6e4226eb502960e5abc2510e1521c30674d6"),
+    "2|10": ("486231f5c4457f53371803f1edd3459a667104df70f8be5e0458e698955a617b",
+             "40e9a96ac78441cb37b696e5a0b232af68a57593d0f6dd0b55aaa87ae4a7d3be"),
+    "2|100": ("0a9dfd4074824ede5d377c69eb0ea50e3a8ba1d5826b1fffac53ca4237ac2555",
+              "61bc8240ca682da8a8a1e1e0e9b0e33df61aa41b2d658fb732b5d59a9dae27c2"),
+    "2|1000": ("e621fa84d07872b533921b5f05ff995ba083b6630db1d8c05cb92b450146aa10",
+               "dfcf41bed369c8ff5664d466c14ef3a8b1e50f0905d39595b4f5bd8e90ef88f2"),
+    "2|1e+06": ("45ad25c121864c804cec239f00b3d67fad21ed7272c3b15779badd56cf037a61",
+                "2892a5aa18cf0756e0e4d6bb146948c3da0784d2ba2598ebb331a3d23bdce94f"),
+    "2|1e+12": ("74c57dbdb26b4b996e8fd5117263afb0de35afe2d6f38a409087fbcb402d34b7",
+                "13a8f99e624253ee003eb7d4779a2d8ad10719704e26e5f44b346a3f2de6aac0"),
+    "3|10": ("58face54fa3f368db94f41d79c5c139052dbcb3726efc6d88dbbe973bbae871f",
+             "303afd50d501b69a90a1c60c31e15c0d5e54ae7468334fb2b65315154bee1b3f"),
+    "3|100": ("b2b794c4b38af6a6d05e3697882ba793c1eede4db02cada7646f17abf1da2242",
+              "a8dbb648ae345ac531552fac8cadbc3953f9584acb9c6fb0409e2b1258b9950d"),
+    "3|1000": ("1634b3c8b9c7822ba32bec6a758c4227f09453a53c4989722b3878b69a36b34e",
+               "7e029c657201f4d2063c878a17a9c5f22a79fddf172f2c1118e88747ef274887"),
+    "3|1e+06": ("ec99b0055647a7629305129a8ad3cac6b10ea5249721aaf9f05d9e757ce6f31a",
+                "c047363d29943cba0118e102c968f7e056bee7286e26764502cc948102dbd3ef"),
+    "3|1e+12": ("d0b38f5996c78444549d2b24aeb903f1c6475187ede375f42dadee81180e743b",
+                "e89da5e8e065ede060496ea8c0e83cc4574869da1b1c5039f0f6e70ccadbe36b"),
+}
+PDF_BAND_DIGESTS = {
+    "0.5|2": "a3479b3555cfefb18f57e91b314471972ff93ff5b28246fc77a9adcf3973a5fe",
+    "0.5|10": "8007c03d73be81f40db7f21a6762d15ac98fe3fb6a7b4a9eddddca87015a0016",
+    "0.5|1e+300": "626bec699e69be225063fcbee43fcc9e3b6438bdf66abe9e211fc2925a285d18",
+    "1|2": "5191a99dee4bc9be34b0c6f11268df72d83d69faf5f115d5e2c68016f0d7e304",
+    "1|10": "9a8913395e9a2a07bd654d5bca51b0a947e500a6bb8720085fd10b785911f5e4",
+    "1|1e+300": "9022f9eb01617a7860920f197e8a05390d8f6504b67d132defdbfb5979c52630",
+    "2|10": "b6d079e926a6203ca9e1fb95ad573e1865b0258f9201ce0281655751a3b53f33",
+    "2|1e+300": "a2edd17477bfe27bdf85369ff7004c7242dae37a97e3946c5d2056d27e04b5ed",
+    "3|2": "c27ebc4e1fe1bfdb1bf395af40230d65d9401bc1612179e50d51a29156516243",
+    "3|10": "11c75179af654b94bbe7dbb9e0ab3380894f2f114988569bc18737298c4848cf",
+    "3|1e+300": "1b1fff922cc4f86a1e7f08647f5fdac3f3483542f535f9dfc4f1eb4ddd20128c",
+}
+
+
 class TestFrozenBytes:
     """The exact law keeps its bits, in both paths, wherever it is evaluated."""
 
@@ -379,6 +491,16 @@ class TestFrozenBytes:
     @pytest.mark.parametrize("t", LOCK_T)
     def test_digests(self, t, n):
         assert lock_digests(t, n) == EXACT_LAW_DIGESTS[f"{t:g}|{n:g}"]
+
+    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_scalar_digests(self, t, n):
+        assert scalar_digests(t, n) == SCALAR_DIGESTS[f"{t:g}|{n:g}"]
+
+    @pytest.mark.parametrize("key", PDF_BAND_DIGESTS)
+    def test_pdf_band_digests(self, key):
+        t, n = map(float, key.split("|"))
+        assert band_digest(t, n) == PDF_BAND_DIGESTS[key]
 
     def test_delta_window_is_covered(self):
         # the window points straddle the dead-term cut at delta = -746
