@@ -34,11 +34,24 @@ where the full path adds exactly -0.0 as well. Near that zero the bound
 can pass only once n > 7e4, and every delta is below -0.25n there.
 
 Where 1 - Phi(g) is subnormal (below 2.2e-308, g > 37.5), log Phi =
-log1p(-(1 - Phi)) is subnormal too and has lost bits, and from g = 37.8 on
+log1p(-(1 - Phi)) is subnormal too and has lost bits, and from g = 37.68 on
 log_ndtr returns 0, which made F_n = 1 at n = 1e300. There (delta is below
 -1400 for n >= 2, so the n*log(Phi) branch) n*log(Phi) is taken as
 -exp(ln n + log(1 - Phi)) from log_ndtr(-g), accurate to about 2e-13
 relative; the density's (n - 1)*log(Phi) likewise. No other point moves.
+
+The density's two terms differ in log by (n - 1)*log((1 - Phi)/Phi), which
+is delta with n - 1 for n, so the same bound at the point's own y settles
+it: where (n - 1)*(log(-y) - y) <= -746 the computed difference is below
+-745.13, e^diff is exactly 0, and _logaddexp would return log Phi^(n-1)
+unchanged. So exact_pdf takes log_ndtr(-g) only where the bound fails: on
+every point of the perfbench law grid from n = 1e3 on it makes one call,
+next to x_min two. The exception is the subnormal band g in [37.5, 38.5]
+(beyond it log(1 - Phi) < -745.13): there y has lost its bits, or is 0,
+and the bound can pass while e^diff is a subnormal, for n < 2.06 only. Both
+log Phi^(n-1) and the full sum are then below 1e-307 in magnitude, and
+they are added to a log density near -g^2/2 < -700, which they cannot
+move. No output bit moves.
 
 One kernel serves the scalar API, on Python floats through ``math``, and
 the array path, through numpy. On arrays each branch runs on the whole
@@ -61,7 +74,7 @@ import numpy as np
 from scipy.special import erf, log_ndtr
 
 from .norming import NormingConstants, _support_point, transformed_quantile
-from .special_functions import LOG_2PI, Probability
+from .special_functions import LOG_2PI, Probability, _tuple_new
 
 _LN2 = math.log(2.0)
 # Below this delta, e^delta is 0 and log1p(-e^delta) is -0.0
@@ -162,7 +175,7 @@ def exact_cdf(nc: NormingConstants, x: float) -> Probability:
     """
     _, _, g = _support_point(nc, x)
     log_cdf = _log_cdf(_ScalarOps, nc.n, g)
-    return Probability(math.exp(log_cdf), log_cdf)
+    return _tuple_new(Probability, (math.exp(log_cdf), log_cdf, False, None))
 
 
 def exact_pdf(nc: NormingConstants, x: float) -> float:
@@ -174,12 +187,14 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     """
     g, dg_dx = transformed_quantile(nc, x)
     n = nc.n
+    m = n - 1.0
     log_phi = float(log_ndtr(g))
-    log_surv = float(log_ndtr(-g))
     # log Phi^(n-1), as _log_cdf_power takes log Phi^n
-    log_power = ((n - 1.0) * log_phi if log_phi <= -_TINY
-                 else _log_cdf_subnormal(_ScalarOps, n - 1.0, g, log_phi))
-    log_pair = _logaddexp(log_power, (n - 1.0) * log_surv)
+    log_pair = m * log_phi if log_phi <= -_TINY else _log_cdf_subnormal(_ScalarOps, m, g, log_phi)
+    # _log_cdf's bound on (n - 1)*log((1 - Phi)/Phi): at or below -746 the
+    # survival term adds nothing (the module docstring)
+    if m * (_ScalarOps.log(-log_phi) - log_phi) > _DEAD_DELTA:
+        log_pair = _logaddexp(log_pair, m * float(log_ndtr(-g)))
     # g' underflows to 0 next to the boundary when t is small
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError
 from .norming import NormingConstants, _power_index, _scales
-from .special_functions import Probability, _from_raw, _gumbel, _require_finite
+from .special_functions import Probability, _from_raw, _gumbel, _require_finite, _tuple_new
 
 _isfinite = math.isfinite
 
@@ -99,7 +99,7 @@ def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
     # is +-k1, and theta2 is finite where k2 is
     if not (_isfinite(k1) and _isfinite(k2) and _isfinite(varpi) and _isfinite(tau)):
         raise DomainError(f"expansion coefficients overflow at x={x}")
-    return ExpansionCoefficients(k1, k2, varpi, tau, theta1, theta2)
+    return _tuple_new(ExpansionCoefficients, (k1, k2, varpi, tau, theta1, theta2))
 
 
 def coefficients(t: float, x: float) -> ExpansionCoefficients:
@@ -127,7 +127,7 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     x = _require_finite(x)
     emx, lam, lam_pdf = _gumbel(x)
     if order is _LIMIT:
-        return Probability(lam, -emx)
+        return _tuple_new(Probability, (lam, -emx, False, None))
     co = _coefficients(nc.t, x, emx)
     u, scale = _scales(nc)
     correction = co.k1 if order is _SECOND else co.k1 + co.k2 / u
@@ -155,15 +155,15 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     """
     order = order if type(order) is ApproxOrder else ApproxOrder(order)
     if order is _EXACT:
-        return Density(powex.exact_law.exact_pdf(nc, x))
+        return _tuple_new(Density, (powex.exact_law.exact_pdf(nc, x), False, None))
     x = _require_finite(x)
     emx, _, lam_pdf = _gumbel(x)
     if order is _LIMIT:
-        return Density(lam_pdf)
+        return _tuple_new(Density, (lam_pdf, False, None))
     co = _coefficients(nc.t, x, emx)
     u, scale = _scales(nc)
     correction = co.varpi if order is _SECOND else co.varpi + co.tau / u
     raw = lam_pdf * (1.0 + 1.0 / scale * correction)
     if raw >= 0.0:
-        return Density(raw)
-    return Density(0.0, True, raw)
+        return _tuple_new(Density, (raw, False, None))
+    return _tuple_new(Density, (0.0, True, raw))

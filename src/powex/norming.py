@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .special_functions import LOG_2PI, _require_finite
+from .special_functions import LOG_2PI, _require_finite, _tuple_new
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-15
@@ -105,7 +105,7 @@ def norming_constants(n: float, t: float) -> NormingConstants:
             d = b ** t
         except OverflowError:
             raise DomainError(f"norming constants overflow at n={n}, t={t}") from None
-    return NormingConstants(float(n), t, b, c, d)
+    return _tuple_new(NormingConstants, (float(n), t, b, c, d))
 
 
 class TransformedQuantile(NamedTuple):
@@ -143,6 +143,6 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
     x, arg, g = _support_point(nc, x)
     inv_t = 1.0 / nc.t
     try:
-        return TransformedQuantile(g, (nc.c * inv_t) * arg ** (inv_t - 1.0))
+        return _tuple_new(TransformedQuantile, (g, (nc.c * inv_t) * arg ** (inv_t - 1.0)))
     except OverflowError:
         raise DomainError(_POWER_OVERFLOW.format(x)) from None

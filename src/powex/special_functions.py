@@ -22,13 +22,14 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 MAX_SERIES_ORDER = 12
 
 
+# The hot producers build their records as _tuple_new(Cls, (every field,
+# defaults included)): it skips the frame of the generated NamedTuple __new__
 _tuple_new = tuple.__new__
 
 
 def _from_raw(raw: float) -> Probability:
     """``raw`` clamped to [0, 1]; flagged and retained when out of range."""
     if 0.0 <= raw <= 1.0:
-        # tuple.__new__ skips the NamedTuple's generated __new__ and its defaults
         return _tuple_new(Probability, (raw, math.log(raw) if raw > 0.0 else -math.inf,
                                         False, None))
     value = min(max(raw, 0.0), 1.0)

@@ -559,9 +559,33 @@ class TestPowerShortcut:
                 assert value == 0.0
 
 
+class TestPdfShortcut:
+    """exact_pdf takes log_ndtr(-g) only where the bound on
+    (n - 1)*log((1 - Phi)/Phi) says the survival term can be alive; the
+    digests above hold its bits."""
+
+    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_log_ndtr_calls(self, t, n, monkeypatch):
+        nc = norming_constants(n, t)
+        calls = []
+        monkeypatch.setattr("powex.exact_law.log_ndtr", lambda g: calls.append(g) or log_ndtr(g))
+        xs = on_support(nc, LAW_GRID)
+        for x in xs:
+            exact_pdf(nc, x)
+        # one call per point on the whole grid from n = 1e3 on
+        assert (len(calls) == len(xs)) == (n >= 1e3)
+        calls.clear()
+        x_min = -nc.d / nc.c
+        # two next to x_min, where Phi(g) is near 1/2
+        for h in (1e-12, 1e-9, 1e-6):
+            exact_pdf(nc, x_min + h)
+        assert len(calls) == 6
+
+
 class TestSubnormalTail:
     """Where 1 - Phi(g) is subnormal (g > 37.5) log Phi has lost its bits,
-    down to 0 from g = 37.8 on; n*log Phi then comes from log(1 - Phi)."""
+    down to 0 from g = 37.68 on; n*log Phi then comes from log(1 - Phi)."""
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("x", [20.0, 25.0, 30.0, 35.0])

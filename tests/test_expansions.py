@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from powex import (
     ApproxOrder,
+    Density,
     DomainError,
     NormingConstants,
     coefficients,
@@ -225,6 +226,7 @@ class TestPdfApprox:
     def test_floored_left_tail(self):
         nc = norming_constants(10.0, 2.0)
         dens = pdf_approx(nc, -3.0, ApproxOrder.SECOND)
+        assert type(dens) is Density and dens == Density(*dens)
         assert dens.floored
         assert dens.value == 0.0
         assert dens.raw < 0.0

@@ -117,6 +117,29 @@ def test_records_carry_no_derived_flags():
     assert not hasattr(powex.norming, "NEAR_TWO_WINDOW")
 
 
+NC = powex.norming_constants(1e6, 1.0)
+
+
+@pytest.mark.parametrize("produce,cls", [
+    (lambda: powex.norming_constants(1e6, 1.0), powex.NormingConstants),
+    (lambda: powex.transformed_quantile(NC, 0.5), powex.TransformedQuantile),
+    (lambda: powex.coefficients(1.0, 0.5), powex.ExpansionCoefficients),
+    (lambda: powex.exact_cdf(NC, 0.5), powex.Probability),
+    *[(lambda order=order: powex.cdf_approx(NC, 0.5, order), powex.Probability)
+      for order in powex.ApproxOrder],
+    *[(lambda order=order: powex.pdf_approx(NC, 0.5, order), powex.Density)
+      for order in powex.ApproxOrder],
+])
+def test_producers_build_their_record_type(produce, cls):
+    # the hot producers skip the NamedTuple constructor; the record is the same
+    r = produce()
+    assert type(r) is cls and r == cls(*r)
+    if cls is powex.Probability:
+        assert r.clamped is False and r.raw is None
+    if cls is powex.Density:
+        assert r.floored is False and r.raw is None
+
+
 def test_readme_public_api_is_all():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     head = "Public API (`powex.__all__`):"
