@@ -61,7 +61,8 @@ def bisect_u(n) -> mp.mpf:
     """Root of u + ln(u) = 2 ln(n) - ln(2 pi) by plain bisection."""
     n = mp.mpf(n)
     target = 2 * mp.log(n) - mp.log(2 * mp.pi)
-    lo, hi = mp.mpf("1e-12"), mp.mpf(300)
+    # ln(u) > 0 above u = 1, so the root is below max(target, 1)
+    lo, hi = mp.mpf("1e-12"), max(target, mp.mpf(1))
     for _ in range(220):
         mid = (lo + hi) / 2
         if mid + mp.log(mid) - target < 0:
@@ -85,13 +86,19 @@ def hp_constants(n, t):
     return b, c, d
 
 
+def _powers(m, s) -> tuple[mp.mpf, mp.mpf]:
+    """Phi^m and (1 - Phi)^m from s = 1 - Phi, through logs: (1 - s)**m
+    rounds to 1 once s is below the working precision (n = 1e100 on)."""
+    return mp.exp(m * mp.log1p(-s)), mp.exp(m * mp.log(s))
+
+
 def hp_exact_cdf(n, t, x) -> mp.mpf:
     """Phi^n(g) - (1 - Phi(g))^n through the oracle survival function."""
     n = mp.mpf(n)
     b, c, d = hp_constants(n, t)
     g = (c * mp.mpf(x) + d) ** (1 / mp.mpf(t))
-    s = hp_survival(g)
-    return (1 - s) ** n - s ** n
+    power, surv_power = _powers(n, hp_survival(g))
+    return power - surv_power
 
 
 def hp_exact_cdf_at_g(n, g) -> mp.mpf:
@@ -102,20 +109,24 @@ def hp_exact_cdf_at_g(n, g) -> mp.mpf:
     """
     with mp.workdps(2 * mp.mp.dps):
         n = mp.mpf(n)
-        s = hp_survival(mp.mpf(g))
-        return +((1 - s) ** n - s ** n)
+        power, surv_power = _powers(n, hp_survival(mp.mpf(g)))
+        return +(power - surv_power)
 
 
 def hp_exact_pdf(n, t, x) -> mp.mpf:
     """n phi(g) g'(x) (Phi^{n-1}(g) + (1 - Phi(g))^{n-1}) via the oracle."""
-    n = mp.mpf(n)
     t = mp.mpf(t)
     b, c, d = hp_constants(n, t)
     arg = c * mp.mpf(x) + d
-    g = arg ** (1 / t)
-    dg = (c / t) * arg ** (1 / t - 1)
-    s = hp_survival(g)
-    return n * hp_std_normal_pdf(g) * dg * ((1 - s) ** (n - 1) + s ** (n - 1))
+    return hp_exact_pdf_at_g(n, arg ** (1 / t), (c / t) * arg ** (1 / t - 1))
+
+
+def hp_exact_pdf_at_g(n, g, dg_dx) -> mp.mpf:
+    """The exact density at a given transformed quantile g and its derivative."""
+    n = mp.mpf(n)
+    g = mp.mpf(g)
+    power, surv_power = _powers(n - 1, hp_survival(g))
+    return n * hp_std_normal_pdf(g) * mp.mpf(dg_dx) * (power + surv_power)
 
 
 def hp_gumbel_cdf(x) -> mp.mpf:

@@ -583,6 +583,22 @@ class TestPdfShortcut:
         assert len(calls) == 6
 
 
+class TestHugeN:
+    """From n = 1e65 on the oracle takes Phi^n through logs, since 1 - Phi
+    falls below its working precision; the library is compared with it at
+    the library's own g."""
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("t", LOCK_T)
+    @pytest.mark.parametrize("n", [1e65, 1e100, 1e300])
+    def test_against_oracle_at_same_g(self, n, t, x):
+        nc = norming_constants(n, t)
+        g, dg_dx = transformed_quantile(nc, x)
+        want = oracles.hp_exact_cdf_at_g(n, g)
+        assert rel_err(exact_cdf(nc, x).log_value, float(oracles.mp.log(want))) < 2e-12
+        assert rel_err(exact_pdf(nc, x), float(oracles.hp_exact_pdf_at_g(n, g, dg_dx))) < 2e-12
+
+
 class TestSubnormalTail:
     """Where 1 - Phi(g) is subnormal (g > 37.5) log Phi has lost its bits,
     down to 0 from g = 37.68 on; n*log Phi then comes from log(1 - Phi)."""

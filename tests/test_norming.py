@@ -32,6 +32,11 @@ class TestSolveB:
     def test_frozen_roots(self, n):
         assert rel_err(solve_b(n), math.sqrt(oracles.U_SOLUTIONS[n])) < 1e-14
 
+    @pytest.mark.parametrize("n", [1e65, 1e100, 1e300])
+    def test_against_bisection_at_huge_n(self, n):
+        # the root is 1372.49 at n = 1e300, far above the frozen roots
+        assert rel_err(solve_b(n) ** 2, float(oracles.bisect_u(n))) < 1e-15
+
     @pytest.mark.parametrize("n", [2.0, 2.5, 10.0, 1e3, 1e6, 1e12, 1e14])
     def test_residual_within_contract(self, n):
         assert norming_residual(n, solve_b(n)) <= 1e-12
