@@ -132,7 +132,7 @@ def _log_cdf(ops, n: float, g):
     y = ops.least(log_phi)
     if n * (_ScalarOps.log(-y) - y) <= _DEAD_DELTA:
         return _log_cdf_power(ops, n, g, log_phi)
-    # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 38.5)
+    # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 37.68)
     delta = n * (ops.log(-ops.expm1(log_phi)) - log_phi)
     return ops.branch(delta > -_LN2, _log_cdf_boundary, _log_cdf_bulk, n, g, log_phi, delta)
 

@@ -94,11 +94,8 @@ def _powers(m, s) -> tuple[mp.mpf, mp.mpf]:
 
 def hp_exact_cdf(n, t, x) -> mp.mpf:
     """Phi^n(g) - (1 - Phi(g))^n through the oracle survival function."""
-    n = mp.mpf(n)
     b, c, d = hp_constants(n, t)
-    g = (c * mp.mpf(x) + d) ** (1 / mp.mpf(t))
-    power, surv_power = _powers(n, hp_survival(g))
-    return power - surv_power
+    return hp_exact_cdf_at_g(n, (c * mp.mpf(x) + d) ** (1 / mp.mpf(t)))
 
 
 def hp_exact_cdf_at_g(n, g) -> mp.mpf:

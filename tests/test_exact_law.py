@@ -318,7 +318,8 @@ def lock_points(nc) -> np.ndarray:
     return np.concatenate([LAW_GRID, boundary, delta_window(nc), special])
 
 
-def sha256(values: list[float]) -> str:
+def sha256(values) -> str:
+    """sha256 of the values as float64 bytes."""
     return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
 
 
@@ -331,10 +332,8 @@ def lock_digests(t: float, n: float) -> tuple[str, str]:
     exact_cdf (value, log_value) pairs over its points on the support."""
     nc = norming_constants(n, t)
     xs = lock_points(nc)
-    array = exact_cdf_values(nc, xs)
-    scalar = np.array([exact_cdf(nc, x)[:2] for x in on_support(nc, xs)], dtype=np.float64)
-    return (hashlib.sha256(array.tobytes()).hexdigest(),
-            hashlib.sha256(scalar.tobytes()).hexdigest())
+    return (sha256(exact_cdf_values(nc, xs)),
+            sha256([exact_cdf(nc, x)[:2] for x in on_support(nc, xs)]))
 
 
 # lock_digests at every (t, n) of LOCK_T x LOCK_N: (array, scalar). Frozen
