@@ -111,7 +111,9 @@ def _scaled_errors(ncs: list[NormingConstants], x: float,
     """Scaled errors along the grid, with the first and second coefficient.
 
     Lambda, Lambda' and the coefficients depend on (t, x) only, so the whole
-    grid shares one evaluation of them.
+    grid shares one evaluation of them. Where Lambda > 1/2 (x > -ln ln 2)
+    the cdf gap F - Lambda is Lambda*expm1(log F - log Lambda), which keeps
+    its relative accuracy where both are near 1; elsewhere the difference.
     """
     co = coefficients(ncs[0].t, x)
     lam_pdf = gumbel_pdf(x)
@@ -119,9 +121,14 @@ def _scaled_errors(ncs: list[NormingConstants], x: float,
         raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
                           "the scaled error is undefined there")
     if target == "cdf":
-        lam = gumbel_cdf(x).value
-        errs = [nc.error_scale * (powex.exact_law.exact_cdf(nc, x).value - lam) / lam_pdf
-                for nc in ncs]
+        lam = gumbel_cdf(x)
+        cdfs = [powex.exact_law.exact_cdf(nc, x) for nc in ncs]
+        if lam.value > 0.5:
+            # F - Lambda without cancellation, where both are near 1
+            gaps = [lam.value * math.expm1(p.log_value - lam.log_value) for p in cdfs]
+        else:
+            gaps = [p.value - lam.value for p in cdfs]
+        errs = [nc.error_scale * gap / lam_pdf for nc, gap in zip(ncs, gaps)]
         return errs, co.k1, co.k2
     errs = [nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0) for nc in ncs]
     return errs, co.varpi, co.tau

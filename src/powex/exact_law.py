@@ -11,21 +11,32 @@ naive arithmetic. This module is the ground-truth oracle for all expansions.
 
 log F_n = n*log(Phi) + log(1 - e^delta) with delta = n*log((1 - Phi)/Phi).
 One log_ndtr per point gives log Phi, and log(1 - Phi) = log(-expm1(log Phi))
-keeps full relative accuracy since Phi >= 1/2. In the bulk the last term is
-log1p(-e^delta). Near x_min = -d/c both logs tend to -ln 2 and cancel, so
-where delta > -ln 2 it is -2n*atanh(erf(g/sqrt(2))) and the last term
-log(-expm1(delta)) (Maechler, "Accurately computing log(1 - exp(-|a|))",
-2012); F_n = 0 where g underflows. Where delta <= -746 the last term is
-left out: e^delta is exactly 0 (it underflows below about -745.13), so
-log1p(-e^delta) adds -0.0 and n*log(Phi) already has the bits, and
-numpy's exp is about 4x slower on an underflowing argument. A NaN delta
-comes only from a NaN g, where n*log(Phi) is NaN already.
+keeps full relative accuracy since Phi >= 1/2. The kernel forms n*log(Phi)
+and patches three disjoint sets of points (disjoint for n >= 2):
+
+- the subnormal tail, where 1 - Phi(g) is below 2.2e-308 (g > 37.5). There
+  log Phi = log1p(-(1 - Phi)) is subnormal too and has lost bits, and from
+  g = 37.68 on log_ndtr returns 0, which made F_n = 1 at n = 1e300; delta
+  is below -1400. n*log(Phi) is taken as -exp(ln n + log(1 - Phi)) from
+  log_ndtr(-g), accurate to about 2e-13 relative; the density's
+  (n - 1)*log(Phi) likewise.
+- the live tail, where -746 < delta <= -ln 2: log1p(-e^delta) is added.
+- the boundary next to x_min = -d/c, where delta > -ln 2. Both logs tend to
+  -ln 2 and cancel there, so delta is -2n*atanh(erf(g/sqrt(2))) and the
+  added term log(-expm1(delta)) (Maechler, "Accurately computing
+  log(1 - exp(-|a|))", 2012); F_n = 0 where g underflows.
+
+Where delta <= -746 nothing is added: e^delta is exactly 0 (it underflows
+below about -745.13), so log1p(-e^delta) adds -0.0 and n*log(Phi) already
+has the bits, and numpy's exp is about 4x slower on an underflowing
+argument. A NaN delta comes only from a NaN g, where n*log(Phi) is NaN
+already and no patch applies.
 
 Most points never need delta. With y = log Phi, 1 - Phi = 1 - e^y <= -y,
 so delta <= n*(log(-y) - y), and log(-y) - y falls as y rises towards 0.
 So when n*(log(-y) - y) <= -746 at the least y of the input (a NaN y fails
-the test), every point is in the n*log(Phi) branch and the kernel returns
-it without the expm1/log pass that forms delta. This cannot move a bit.
+the test), no point needs the live-tail or boundary patch and the kernel
+returns before the expm1/log pass that forms delta. This cannot move a bit.
 The bound passes only where y > -0.571 at every point, so Phi > 0.56 and
 the full path's two logs do not cancel: its delta is within a few ulps of
 the exact one. Away from y = -0.567, its one zero, the bound is within a
@@ -33,37 +44,31 @@ few ulps too, so each point it settles has a computed delta below -745.13,
 where the full path adds exactly -0.0 as well. Near that zero the bound
 can pass only once n > 7e4, and every delta is below -0.25n there.
 
-Where 1 - Phi(g) is subnormal (below 2.2e-308, g > 37.5), log Phi =
-log1p(-(1 - Phi)) is subnormal too and has lost bits, and from g = 37.68 on
-log_ndtr returns 0, which made F_n = 1 at n = 1e300. There (delta is below
--1400 for n >= 2, so the n*log(Phi) branch) n*log(Phi) is taken as
--exp(ln n + log(1 - Phi)) from log_ndtr(-g), accurate to about 2e-13
-relative; the density's (n - 1)*log(Phi) likewise. No other point moves.
-
 The density's two terms differ in log by (n - 1)*log((1 - Phi)/Phi), which
 is delta with n - 1 for n, so the same bound at the point's own y settles
 it: where (n - 1)*(log(-y) - y) <= -746 the computed difference is below
--745.13, e^diff is exactly 0, and _logaddexp would return log Phi^(n-1)
-unchanged. So exact_pdf takes log_ndtr(-g) only where the bound fails: on
-every point of the perfbench law grid from n = 1e3 on it makes one call,
-next to x_min two. The exception is the subnormal band g in [37.5, 38.5]
-(beyond it log(1 - Phi) < -745.13): there y has lost its bits, or is 0,
-and the bound can pass while e^diff is a subnormal, for n < 2.06 only. Both
-log Phi^(n-1) and the full sum are then below 1e-307 in magnitude, and
-they are added to a log density near -g^2/2 < -700, which they cannot
-move. No output bit moves.
+-745.13, e^diff is exactly 0, and adding log1p(e^diff) would leave
+log Phi^(n-1) unchanged. So exact_pdf takes log_ndtr(-g) only where the
+bound fails: on every point of the perfbench law grid from n = 1e3 on it
+makes one call, next to x_min two. The exception is the subnormal band g
+in [37.5, 38.5] (beyond it log(1 - Phi) < -745.13): there y has lost its
+bits, or is 0, and the bound can pass while e^diff is a subnormal, for
+n < 2.06 only. Both log Phi^(n-1) and the full sum are then below 1e-307
+in magnitude, and they are added to a log density near -g^2/2 < -700,
+which they cannot move. No output bit moves. Where the bound fails, the
+sum is log Phi^(n-1) + log1p(e^diff), diff = (n - 1)*(log(1 - Phi) -
+log Phi): on the support log(1 - Phi) <= log Phi, so diff <= 0, and this
+is the branch numpy's logaddexp takes, with its bits (a tie adds
+log1p(1) == ln 2 exactly).
 
 One kernel serves the scalar API, on Python floats through ``math``, and
-the array path, through numpy. On arrays each branch runs on the whole
-array when its condition holds at every point, and is skipped when it holds
-at none; only a mixed condition gathers and scatters the points it selects.
-``exact_cdf_values`` runs every point through the kernel; it keeps the
-results on the support in one masked exp, or, when every point is on the
-support, in one plain exp.
-
-The scalar density adds its two log terms with ``_logaddexp``, numpy's
-``npy_logaddexp`` written out on the same libm ``exp``/``log1p`` calls, so
-it has the bits of ``np.logaddexp`` without a numpy scalar per point.
+the array path, through numpy; both arithmetics expose the same
+operations, and the kernel calls only those. On arrays a patch runs on
+the whole array when its condition holds at every point, and is skipped
+when it holds at none; only a mixed condition gathers and scatters the
+points it selects. ``exact_cdf_values`` runs every point through the
+kernel; it keeps the results on the support in one masked exp, or, when
+every point is on the support, in one plain exp.
 """
 from __future__ import annotations
 
@@ -83,28 +88,13 @@ _DEAD_DELTA = -746.0
 _TINY = sys.float_info.min
 
 
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b), step for step numpy's npy_logaddexp."""
-    if a == b:  # infinities of the same sign
-        return a + _LN2
-    diff = a - b
-    if diff > 0.0:
-        return a + math.log1p(math.exp(-diff))
-    if diff <= 0.0:
-        return b + math.log1p(math.exp(diff))
-    return diff  # a NaN argument
-
-
 # The kernel's arithmetic: Python floats through math, or numpy arrays
 class _ScalarOps:
     exp, expm1, log1p, atanh, erf = math.exp, math.expm1, math.log1p, math.atanh, math.erf
     log_ndtr, native = log_ndtr, float  # log_ndtr returns numpy scalars
     log = staticmethod(lambda v: math.log(v) if v > 0.0 else -math.inf)
     least = greatest = staticmethod(lambda v: v)
-
-    @classmethod
-    def branch(cls, cond, if_true, if_false, *args):
-        return (if_true if cond else if_false)(cls, *args)
+    patch = classmethod(lambda cls, out, cond, fix, *args: fix(cls, *args) if cond else out)
 
 
 class _ArrayOps:
@@ -115,56 +105,47 @@ class _ArrayOps:
     greatest = staticmethod(lambda v: float(np.fmax.reduce(v, axis=None, initial=-math.inf)))
 
     @classmethod
-    def branch(cls, cond, if_true, if_false, *args):
+    def patch(cls, out, cond, fix, *args):
+        """out, with fix(*args) at the points where cond holds."""
         if cond.all():
-            return if_true(cls, *args)
-        out = if_false(cls, *args)
+            return fix(cls, *args)
         if cond.any():
-            out[cond] = if_true(cls, *(a[cond] if np.ndim(a) else a for a in args))
+            out[cond] = fix(cls, *(a[cond] if np.ndim(a) else a for a in args))
         return out
 
 
 def _log_cdf(ops, n: float, g):
     """log F_n at transformed quantiles g > 0, in the arithmetic of ``ops``."""
     log_phi = ops.native(ops.log_ndtr(g))
+    out = n * log_phi
+    # a subnormal 1 - Phi (delta < -1400 there) leaves log Phi without its bits
+    if ops.greatest(log_phi) > -_TINY:
+        out = ops.patch(out, log_phi > -_TINY, _log_cdf_subnormal, n, g)
     # 1 - Phi <= -log Phi bounds delta by n*(log(-y) - y), which falls as y
     # rises: at the least y (NaN if any point is) it settles every point
     y = ops.least(log_phi)
     if n * (_ScalarOps.log(-y) - y) <= _DEAD_DELTA:
-        return _log_cdf_power(ops, n, g, log_phi)
+        return out
     # log(1 - Phi) is -inf once log Phi underflows to 0 (g > 37.68)
     delta = n * (ops.log(-ops.expm1(log_phi)) - log_phi)
-    return ops.branch(delta > -_LN2, _log_cdf_boundary, _log_cdf_bulk, n, g, log_phi, delta)
+    # the live tail, then the boundary next to x_min
+    out = ops.patch(out, (delta > _DEAD_DELTA) & (delta <= -_LN2), _log_cdf_tail, out, delta)
+    return ops.patch(out, delta > -_LN2, _log_cdf_boundary, n, g, out)
 
 
-def _log_cdf_bulk(ops, n, g, log_phi, delta):
-    return ops.branch(delta > _DEAD_DELTA, _log_cdf_tail, _log_cdf_power, n, g, log_phi, delta)
-
-
-def _log_cdf_tail(ops, n, g, log_phi, delta):
-    return n * log_phi + ops.log1p(-ops.exp(delta))
-
-
-def _log_cdf_power(ops, n, g, log_phi, delta=None):
-    # a subnormal 1 - Phi (delta < -1400 there) leaves log Phi without its bits
-    if ops.greatest(log_phi) > -_TINY:
-        return ops.branch(log_phi > -_TINY, _log_cdf_subnormal, _log_cdf_normal, n, g, log_phi)
-    return n * log_phi
-
-
-def _log_cdf_normal(ops, n, g, log_phi):
-    return n * log_phi
-
-
-def _log_cdf_subnormal(ops, n, g, log_phi):
+def _log_cdf_subnormal(ops, n, g):
     # n*log Phi = -n*(1 - Phi), with log(1 - Phi) in full precision
     return -ops.exp(math.log(n) + ops.native(ops.log_ndtr(-g)))
 
 
-def _log_cdf_boundary(ops, n, g, log_phi, delta):
+def _log_cdf_tail(ops, power, delta):
+    return power + ops.log1p(-ops.exp(delta))
+
+
+def _log_cdf_boundary(ops, n, g, power):
     # delta = 0 only where g underflows; log 0 = -inf there
     delta = -2.0 * n * ops.atanh(ops.erf(g / math.sqrt(2.0)))
-    return n * log_phi + ops.log(-ops.expm1(delta))
+    return power + ops.log(-ops.expm1(delta))
 
 
 def exact_cdf(nc: NormingConstants, x: float) -> Probability:
@@ -189,12 +170,13 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     n = nc.n
     m = n - 1.0
     log_phi = float(log_ndtr(g))
-    # log Phi^(n-1), as _log_cdf_power takes log Phi^n
-    log_pair = m * log_phi if log_phi <= -_TINY else _log_cdf_subnormal(_ScalarOps, m, g, log_phi)
+    # log Phi^(n-1), as _log_cdf takes log Phi^n
+    log_pair = m * log_phi if log_phi <= -_TINY else _log_cdf_subnormal(_ScalarOps, m, g)
     # _log_cdf's bound on (n - 1)*log((1 - Phi)/Phi): at or below -746 the
-    # survival term adds nothing (the module docstring)
+    # survival term adds nothing; above it, it is the lesser term (the
+    # module docstring)
     if m * (_ScalarOps.log(-log_phi) - log_phi) > _DEAD_DELTA:
-        log_pair = _logaddexp(log_pair, m * float(log_ndtr(-g)))
+        log_pair += math.log1p(math.exp(m * float(log_ndtr(-g)) - log_pair))
     # g' underflows to 0 next to the boundary when t is small
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf) if log_pdf > -746.0 else 0.0
@@ -210,7 +192,7 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     # points off the support give nan/inf in the kernel and are discarded;
-    # on it, log 0 = -inf is overwritten by a branch, or F = 0; c*x overflows
+    # on it, log 0 = -inf is overwritten by a patch, or F = 0; c*x overflows
     # to -inf (off the support) or inf (F = 1)
     with np.errstate(all="ignore"):
         arg = nc.c * xs + nc.d

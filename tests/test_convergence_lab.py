@@ -15,6 +15,7 @@ from powex import (
     InsufficientDataError,
     ResourceError,
     Scaling,
+    coefficients,
     default_n_grid,
     error_curve,
     exact_cdf,
@@ -24,6 +25,7 @@ from powex import (
     norming_constants,
     rate_fit,
     solve_b,
+    transformed_quantile,
 )
 
 
@@ -147,7 +149,6 @@ class TestHallLimitCheck:
     def test_bound_formula(self):
         res = hall_limit_check(3.0, 1.0, [1e6, 1e12])
         nc = norming_constants(1e12, 3.0)
-        from powex import coefficients
         k2 = coefficients(3.0, 1.0).k2
         u = nc.b_squared
         assert rel_err(res.bound, 1.5 * abs(k2) / u + 10.0 / (u * u)) < 1e-14
@@ -163,6 +164,25 @@ class TestHallLimitCheck:
         res = hall_limit_check(2.9, -1.5, [1e6, 1e12])
         assert not res.gaps_decreasing
         assert not res.passed
+
+
+class TestRightTail:
+    """Where Lambda(x) > 1/2 the scaled error takes F - Lambda as
+    Lambda*expm1(log F - log Lambda): at x = 40 both are within an ulp of 1,
+    and their difference was rounding noise (off by up to 23% at t = 2)."""
+
+    @pytest.mark.parametrize("n", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_against_oracle_at_same_g(self, t, n):
+        x = 40.0
+        nc = norming_constants(n, t)
+        gap = oracles.hp_exact_cdf_at_g(n, transformed_quantile(nc, x).g) - oracles.hp_gumbel_cdf(x)
+        err = nc.error_scale * gap / oracles.hp_gumbel_pdf(x)
+        assert rel_err(hall_limit_check(t, x, [n]).rows[0].scaled_error, float(err)) < 1e-9
+        co = coefficients(t, x)
+        # the residual that rates prints
+        row, = error_curve(t, x, [n], ApproxOrder.THIRD, scaling=Scaling.THIRD_ORDER_REMAINDER).rows
+        assert rel_err(row.residual, float(err - co.k1 - co.k2 / nc.b_squared)) < 1e-9
 
 
 class TestNaiveT2:

@@ -2,7 +2,9 @@
 vectorization, and distribution-function semantics."""
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -26,7 +28,8 @@ from powex import (
     survival,
     transformed_quantile,
 )
-from powex.exact_law import _ArrayOps, _logaddexp
+from powex import exact_law
+from powex.exact_law import _ArrayOps, _ScalarOps
 
 
 def rel_err(got: float, want: float) -> float:
@@ -157,39 +160,53 @@ class TestExactPdf:
         assert all(exact_pdf(nc, x) >= 0.0 for x in xs)
 
 
-def same_float(a: float, b: float) -> bool:
-    """Equal bits, or both NaN."""
-    return (math.isnan(a) and math.isnan(b)) or \
-        np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+class TestKernelOps:
+    """One kernel, two arithmetics: _ScalarOps and _ArrayOps expose the same
+    operations, and the kernel calls nothing else on them."""
+
+    @staticmethod
+    def operations(ops) -> set[str]:
+        return {name for name in vars(ops) if not name.startswith("_")}
+
+    def test_same_operations(self):
+        assert self.operations(_ScalarOps) == self.operations(_ArrayOps)
+
+    def test_kernel_calls_only_the_operations(self):
+        # the kernel is every function of the module whose first argument is ops
+        kernel = [node for node in ast.walk(ast.parse(inspect.getsource(exact_law)))
+                  if isinstance(node, ast.FunctionDef) and node.args.args
+                  and node.args.args[0].arg == "ops"]
+        assert {f.name for f in kernel} == {
+            "_log_cdf", "_log_cdf_subnormal", "_log_cdf_tail", "_log_cdf_boundary"}
+        used = {node.attr for f in kernel for node in ast.walk(f)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "ops"}
+        assert used == self.operations(_ScalarOps)
 
 
-class TestLogaddexp:
-    """The scalar density's logaddexp must carry np.logaddexp's bits."""
+class TestPairTerm:
+    """exact_pdf adds the survival term as log1p(e^(b - a)) with a = log Phi^(n-1)
+    and b = (n - 1)*log(1 - Phi): the one branch of numpy's logaddexp that
+    the support can reach, since Phi >= 1/2 there makes b <= a."""
 
-    def test_dense_grid(self):
-        grid = np.concatenate([-np.logspace(-12, 3, 400), [0.0], np.logspace(-12, 3, 400)])
-        rng = np.random.default_rng(5)
-        pairs = [(a, b) for a in grid[::4] for b in grid[::4]]
-        pairs += [(a, a + d) for a in grid for d in (0.0, 5e-16, -3e-13, 1e-8, 36.7, -40.0)]
-        pairs += list(zip(rng.uniform(-1000.0, 10.0, 5000), rng.uniform(-1000.0, 10.0, 5000)))
-        a, b = np.array(pairs).T
-        want = np.logaddexp(a, b)
-        bad = [(x, y) for x, y, w in zip(a.tolist(), b.tolist(), want.tolist())
-               if not same_float(_logaddexp(x, y), w)]
-        assert not bad, bad[:5]
+    @pytest.mark.parametrize("g", [0.0, 5e-324, 1e-300, 1e-17])
+    def test_survival_log_is_the_lesser_near_zero(self, g):
+        assert log_ndtr(-g) <= log_ndtr(g)
 
-    @pytest.mark.parametrize("a,b", [
-        (-3.5, -3.5), (0.0, 0.0), (-0.0, 0.0), (-1e300, -1e300),
-        (math.inf, math.inf), (-math.inf, -math.inf),
-        (math.inf, -math.inf), (-math.inf, math.inf),
-        (math.inf, 2.0), (2.0, math.inf), (-math.inf, -7.0), (-7.0, -math.inf),
-        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
-        (math.nan, math.inf), (-math.inf, math.nan),
-    ])
-    def test_special_arguments(self, a, b):
-        with np.errstate(invalid="ignore"):
-            want = float(np.logaddexp(a, b))
-        assert same_float(_logaddexp(a, b), want)
+    def test_survival_log_is_the_lesser(self):
+        g = np.concatenate([np.linspace(0.0, 40.0, 400_001),
+                            np.linspace(37.5, 38.6, 20_001)])  # the subnormal band
+        assert np.all(log_ndtr(-g) <= log_ndtr(g))
+
+    def test_tie_adds_ln2(self):
+        # a == b (g = 0) adds log1p(e^0), which numpy's logaddexp takes as ln 2
+        assert math.log1p(1.0) == math.log(2.0)
+
+    @pytest.mark.parametrize("m", [1.0, 9.0, 999.0])
+    def test_bits_of_logaddexp(self, m):
+        for g in np.linspace(0.0, 40.0, 4001).tolist():
+            a, b = m * float(log_ndtr(g)), m * float(log_ndtr(-g))
+            assert a + math.log1p(math.exp(b - a)) == float(np.logaddexp(a, b)), g
 
 
 class TestSupportBoundary:
@@ -483,6 +500,17 @@ PDF_BAND_DIGESTS = {
 }
 
 
+def assert_shape_and_dtype(nc, xs, shape) -> np.ndarray:
+    """exact_cdf_values over xs: a float64 array of the input's shape, with
+    the bytes of the same points flattened."""
+    out = exact_cdf_values(nc, xs)
+    assert type(out) is np.ndarray
+    assert out.shape == shape and out.dtype == np.float64
+    flat = exact_cdf_values(nc, np.asarray(xs, dtype=float).ravel())
+    assert out.ravel().tobytes() == flat.tobytes()
+    return out
+
+
 class TestFrozenBytes:
     """The exact law keeps its bits, in both paths, wherever it is evaluated."""
 
@@ -524,12 +552,30 @@ class TestFrozenBytes:
         (np.linspace(-20.0, 4.0, 6, dtype=np.float32).reshape(3, 2), (3, 2)),
     ])
     def test_shape_and_dtype(self, xs, shape):
-        nc = norming_constants(1000.0, 1.0)
-        out = exact_cdf_values(nc, xs)
-        assert type(out) is np.ndarray
-        assert out.shape == shape and out.dtype == np.float64
-        flat = exact_cdf_values(nc, np.asarray(xs, dtype=float).ravel())
-        assert out.ravel().tobytes() == flat.tobytes()
+        assert_shape_and_dtype(norming_constants(1000.0, 1.0), xs, shape)
+
+    @pytest.mark.parametrize("offsets,mixed", [
+        (np.array(1e-6), False),  # the boundary patch, on the whole 0-d input
+        (np.array(1.0), False),   # the live tail
+        (np.array([[1e-12, 0.5, 30.0], [3.0, 1e-9, 1e-3]]), True),
+        (np.array([1e-3, 0.01, 0.5, 2.0, 5.0, 30.0], dtype=np.float32).reshape(3, 2), True),
+    ])
+    def test_shape_and_dtype_next_to_x_min(self, offsets, mixed, monkeypatch):
+        # at n = 10 the boundary and live-tail patches select part of an
+        # array, so every shape goes through the gather and scatter
+        nc = norming_constants(10.0, 1.0)
+        xs = -nc.d / nc.c + offsets
+        assert xs.shape == offsets.shape and xs.dtype == offsets.dtype
+        out = assert_shape_and_dtype(nc, xs, offsets.shape)
+        conds = []
+        patch = _ArrayOps.patch
+        monkeypatch.setattr(_ArrayOps, "patch", lambda out, cond, *rest:
+                            conds.append(cond) or patch(out, cond, *rest))
+        assert exact_cdf_values(nc, xs).tobytes() == out.tobytes()
+        # a 0-d input runs one patch whole; these arrays scatter two
+        assert [bool(c.all()) for c in conds if c.any()] == ([False] * 2 if mixed else [True])
+        for x, value in zip(xs.ravel().tolist(), out.ravel().tolist()):
+            assert rel_err(value, exact_cdf(nc, x).value) < 1e-13
 
 
 class TestPowerShortcut:
