@@ -12,11 +12,11 @@ naive arithmetic. This module is the ground-truth oracle for all expansions.
 log F_n = n*log(Phi) + log(1 - e^delta) with delta = n*log((1 - Phi)/Phi).
 One log_ndtr per point gives log Phi, and log(1 - Phi) = log(-expm1(log Phi))
 keeps full relative accuracy since Phi >= 1/2. The kernel forms n*log(Phi)
-and patches three disjoint sets of points (disjoint for n >= 2):
+and patches three sets of points, disjoint for n >= 2:
 
 - the subnormal tail, where 1 - Phi(g) is below 2.2e-308 (g > 37.5). There
   log Phi = log1p(-(1 - Phi)) is subnormal too and has lost bits, and from
-  g = 37.68 on log_ndtr returns 0, which made F_n = 1 at n = 1e300; delta
+  g = 37.68 on log_ndtr returns 0, which would give F_n = 1 at n = 1e300; delta
   is below -1400. n*log(Phi) is taken as -exp(ln n + log(1 - Phi)) from
   log_ndtr(-g), accurate to about 2e-13 relative; the density's
   (n - 1)*log(Phi) likewise.
