@@ -155,8 +155,6 @@ def _parse_orders(text: str) -> list[ApproxOrder]:
             raise argparse.ArgumentTypeError(
                 f"unknown order {name!r}; choose from limit,second,third,exact"
             )
-    if not orders:
-        raise argparse.ArgumentTypeError("at least one order required")
     return orders
 
 

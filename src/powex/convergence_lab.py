@@ -192,7 +192,7 @@ def rate_fit(curve: ErrorCurve) -> SlopeFit:
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     ssr = sum((w - intercept - slope * v) ** 2 for v, w in zip(xs, ys))
-    stderr = math.sqrt(max(ssr, 0.0) / (m - 2) / sxx) if m > 2 else math.inf
+    stderr = math.sqrt(ssr / (m - 2) / sxx)
     return SlopeFit(slope=slope, intercept=intercept, stderr=stderr,
                     points_used=m, noise_floor_hits=floored)
 

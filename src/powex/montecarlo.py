@@ -230,11 +230,7 @@ def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, first: int, seed: int,
 
 
 def _reference_cdf(sample: SimSample, reference: str, xs: np.ndarray) -> np.ndarray:
-    if reference == "exact":
-        return exact_cdf_values(sample.nc, xs)
-    if reference == "limit":
-        return np.exp(-np.exp(-xs))
-    raise DomainError(f"reference must be 'exact' or 'limit', got {reference!r}")
+    return exact_cdf_values(sample.nc, xs) if reference == "exact" else np.exp(-np.exp(-xs))
 
 
 def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
@@ -248,6 +244,8 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     the knots and in the blocks between them whose bound can reach D (see
     the module docstring). A NaN in the sample gives D = NaN.
     """
+    if reference not in ("exact", "limit"):
+        raise DomainError(f"reference must be 'exact' or 'limit', got {reference!r}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -260,15 +258,14 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     n = sample.reps
     knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
     f = _reference_cdf(sample, reference, sv[knots])
-    d = _largest_gap(knots, f, n)
-    if not math.isnan(d):  # the sort puts a NaN last, at a knot
-        a, b = knots[:-1], knots[1:]
-        reach = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
-        inside = np.repeat(reach + _KS_MARGIN >= d, np.diff(knots))
-        inside[a] = False  # the knots themselves are done
-        points = np.flatnonzero(inside)
-        if len(points):
-            d = max(d, _largest_gap(points, _reference_cdf(sample, reference, sv[points]), n))
+    d = _largest_gap(knots, f, n)  # the sort puts a NaN last: D = NaN, no block passes
+    a, b = knots[:-1], knots[1:]
+    reach = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
+    inside = np.repeat(reach + _KS_MARGIN >= d, np.diff(knots))
+    inside[a] = False  # the knots themselves are done
+    points = np.flatnonzero(inside)
+    if len(points):
+        d = max(d, _largest_gap(points, _reference_cdf(sample, reference, sv[points]), n))
     bound = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
     return KSResult(statistic=d, bound=bound, passed=d <= bound)
 

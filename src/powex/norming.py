@@ -12,6 +12,7 @@ together with the transformed quantile g(x) = (c*x + d)^(1/t).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -105,6 +106,8 @@ def norming_constants(n: float, t: float) -> NormingConstants:
             d = b ** t
         except OverflowError:
             raise DomainError(f"norming constants overflow at n={n}, t={t}") from None
+        if min(c, d) < sys.float_info.min:  # b < 1 (n < 4.13) and a large t, or a tiny t
+            raise DomainError(f"norming constants underflow at n={n}, t={t}")
     return _tuple_new(NormingConstants, (float(n), t, b, c, d))
 
 

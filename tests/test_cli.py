@@ -192,6 +192,15 @@ class TestNormingVerb:
         assert code == 1
         assert "b^2 > 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["norming", "--n", "2", "--t", "3000"],  # printed c = d = 0
+        ["table", "--n", "2", "--t", "3000", "--x", "0", "--orders", "exact"],  # traceback
+    ])
+    def test_underflowing_constants(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == "error: norming constants underflow at n=2.0, t=3000.0\n"
+
 
 class TestUsageErrors:
     def test_unknown_verb(self):
@@ -216,6 +225,19 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("usage:") and "Traceback" not in err
         assert err.strip().split("\n")[-1].endswith("precision must be >= 1, got " + argv[-1])
+
+    @pytest.mark.parametrize("argv,what", [
+        (["table", "--n", "1e6", "--t", "1", "--x", "0", "--orders", "foo"], "unknown order 'foo'"),
+        (["norming", "--n", "1e6", "--precision", "abc"], "invalid int value: 'abc'"),
+        (["table", "--n", "1e6", "--t", "1", "--x", "1:2"], "grid must be VALUE or START:STOP:STEP"),
+        (["rates", "--t", "1", "--x", "0", "--n-grid", "1e3:1e6"],
+         "n-grid must be comma list or START:STOP:FACTOR"),
+    ])
+    def test_bad_argument(self, argv, what):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert what in err.strip().split("\n")[-1]
 
     def test_precision_one(self):
         code, out, err = run_cli(["norming", "--n", "1e6", "--t", "1", "--precision", "1"])
@@ -350,6 +372,23 @@ class TestRatesVerb:
                                 "--scaling", "raw", "--n-grid", "1e3,1e4,1e5"])
         assert code == 0
         assert out.strip().split("\n")[-1] == "# slope=nan,stderr=nan"
+
+    def test_hall_scaled_rows(self):
+        grid = [1e3, 1e6, 1e9]
+        code, out, _ = run_cli(["rates", "--t", "1", "--x", "0.5", "--scaling", "hall_scaled",
+                                "--n-grid", "1e3,1e6,1e9", "--format", "json"])
+        assert code == 0
+        gaps = [r.gap for r in convergence_lab.hall_limit_check(1.0, 0.5, grid).rows]
+        assert [row["residual"] for row in json.loads(out)] == gaps
+
+    def test_raw_pdf_rows(self):
+        code, out, _ = run_cli(["rates", "--t", "1", "--x", "0.5", "--target", "pdf",
+                                "--scaling", "raw", "--n-grid", "1e3,1e6,1e9",
+                                "--format", "json"])
+        assert code == 0
+        curve = convergence_lab.error_curve(1.0, 0.5, [1e3, 1e6, 1e9], "third",
+                                            target="pdf", scaling="raw")
+        assert [row["residual"] for row in json.loads(out)] == [r.residual for r in curve.rows]
 
     def test_bad_grid(self):
         code, _, _ = run_cli(["rates", "--t", "1", "--x", "0", "--n-grid", "10,20"])

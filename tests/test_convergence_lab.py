@@ -23,6 +23,7 @@ from powex import (
     hall_limit_check,
     naive_t2_constants,
     norming_constants,
+    pdf_approx,
     rate_fit,
     solve_b,
     transformed_quantile,
@@ -64,6 +65,21 @@ class TestErrorCurve:
                             scaling=Scaling.THIRD_ORDER_REMAINDER)
         mags = [abs(r.residual) for r in curve.rows]
         assert all(b < a for a, b in zip(mags, mags[1:]))
+
+    @pytest.mark.parametrize("t,x", [(1.0, 0.5), (3.0, -0.5), (0.5, 2.0)])
+    def test_raw_pdf_against_oracle(self, t, x):
+        curve = error_curve(t, x, [1e3, 1e6, 1e9], ApproxOrder.THIRD, target="pdf")
+        for row in curve.rows:
+            nc = norming_constants(row.n, t)
+            exact = float(oracles.hp_exact_pdf(row.n, t, x))
+            want = pdf_approx(nc, x, ApproxOrder.THIRD).unfloored - exact
+            assert abs(row.residual - want) < 1e-13 * exact
+
+    @pytest.mark.parametrize("t,x", [(1.0, 0.0), (2.0, 1.0), (0.5, -0.5)])
+    def test_hall_scaled_rows_are_the_hall_gaps(self, t, x):
+        grid = [1e3, 1e6, 1e9]
+        curve = error_curve(t, x, grid, ApproxOrder.THIRD, scaling=Scaling.HALL_SCALED)
+        assert [r.residual for r in curve.rows] == [r.gap for r in hall_limit_check(t, x, grid).rows]
 
     def test_pdf_target(self):
         curve = error_curve(1.0, 0.5, [1e3, 1e6], ApproxOrder.THIRD, target="pdf",

@@ -259,6 +259,17 @@ class TestKsCheck:
         with pytest.raises(DomainError):
             ks_check(small, "limit", alpha=0.1)
 
+    def test_reference_checked_before_the_sort(self, monkeypatch):
+        # a misspelt reference is refused before the sample is sorted
+        sample = self.perfect_gumbel_sample(1000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample sorted before the reference check")
+
+        monkeypatch.setattr(np, "sort", refuse)
+        with pytest.raises(DomainError, match="reference must be"):
+            ks_check(sample, "gumbel", alpha=0.1)
+
     @pytest.mark.parametrize("reps", [3000, 1000])
     def test_reps_must_match_the_values(self, reps):
         # more reps than values once indexed past the end; fewer once gave

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from powex import (
     DomainError,
+    exact_cdf,
+    exact_pdf,
     norming_constants,
     solve_b,
     std_normal_pdf,
@@ -132,6 +135,20 @@ class TestNormingConstants:
         with pytest.raises(DomainError, match="overflow"):
             norming_constants(1e6, 1000.0)
 
+    @pytest.mark.parametrize("n,t", [
+        (2.0, 3000.0),   # b < 1, so b^t underflows to 0
+        (2.0, 1650.0),   # d = b^t is subnormal, about 1.4e-312
+        (1000.0, 5e-324),  # c = t*b^(t-2) underflows to 0
+    ])
+    def test_underflow(self, n, t):
+        with pytest.raises(DomainError, match="underflow"):
+            norming_constants(n, t)
+
+    def test_least_normal_constants_kept(self):
+        # at n = 2, t = 1587 both c and d are still normal floats
+        nc = norming_constants(2.0, 1587.0)
+        assert min(nc.c, nc.d) >= sys.float_info.min
+
 
 class TestBranchPoint:
     def test_c_jumps_at_t_two(self):
@@ -185,3 +202,15 @@ class TestTransformedQuantile:
         assert math.isfinite(transformed_quantile(nc, 1e150).g)
         with pytest.raises(DomainError, match="overflows"):
             transformed_quantile(nc, 1e300)
+
+    def test_derivative_overflow(self):
+        # next to x_min at n = 2, t = 1587 g is finite but
+        # g' = (c/t)*(c*x + d)^(1/t - 1) passes the float range: the density
+        # is refused, the distribution function is not
+        nc = norming_constants(2.0, 1587.0)
+        x = math.nextafter(-nc.d / nc.c, math.inf)
+        with pytest.raises(DomainError, match="overflows"):
+            transformed_quantile(nc, x)
+        with pytest.raises(DomainError, match="overflows"):
+            exact_pdf(nc, x)
+        assert 0.0 < exact_cdf(nc, x).value < 1.0
