@@ -556,12 +556,12 @@ class TestFrozenBytes:
 
     @pytest.mark.parametrize("offsets,mixed", [
         (np.array(1e-6), False),  # the boundary patch, on the whole 0-d input
-        (np.array(1.0), False),   # the live tail
+        (np.array(1.0), False),   # the tail
         (np.array([[1e-12, 0.5, 30.0], [3.0, 1e-9, 1e-3]]), True),
         (np.array([1e-3, 0.01, 0.5, 2.0, 5.0, 30.0], dtype=np.float32).reshape(3, 2), True),
     ])
     def test_shape_and_dtype_next_to_x_min(self, offsets, mixed, monkeypatch):
-        # at n = 10 the boundary and live-tail patches select part of an
+        # at n = 10 the boundary and tail patches select part of an
         # array, so every shape goes through the gather and scatter
         nc = norming_constants(10.0, 1.0)
         xs = -nc.d / nc.c + offsets

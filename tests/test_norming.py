@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -144,11 +143,6 @@ class TestNormingConstants:
         with pytest.raises(DomainError, match="underflow"):
             norming_constants(n, t)
 
-    def test_least_normal_constants_kept(self):
-        # at n = 2, t = 1587 both c and d are still normal floats
-        nc = norming_constants(2.0, 1587.0)
-        assert min(nc.c, nc.d) >= sys.float_info.min
-
 
 class TestBranchPoint:
     def test_c_jumps_at_t_two(self):
@@ -204,7 +198,7 @@ class TestTransformedQuantile:
             transformed_quantile(nc, 1e300)
 
     def test_derivative_overflow(self):
-        # next to x_min at n = 2, t = 1587 g is finite but
+        # n = 2, t = 1587 keeps c and d normal; next to x_min g is finite but
         # g' = (c/t)*(c*x + d)^(1/t - 1) passes the float range: the density
         # is refused, the distribution function is not
         nc = norming_constants(2.0, 1587.0)
