@@ -407,6 +407,30 @@ RECORD_X = GRID23 + [-800.0, -40.0, -8.0, -5.0, -3.0, 6.0, 10.0, 40.0, 800.0,
 BAND_N = (2.0, 10.0, 1e300)
 
 
+# Inputs of the overflow-band lock. RECORD_X stops at +-800, so it never
+# holds an x where one coefficient leaves the float range and another does
+# not. OVERFLOW_EDGES are, for some t of OVERFLOW_T, the last x at which one
+# coefficient (or x**3, x**4) is in range; the next float away from 0 is
+# out. Near -690 it is e^{-x} that carries them out.
+OVERFLOW_T = (0.5, 1.0, 2.0, 3.0, 8.0)
+OVERFLOW_N = (10.0, 1e6)
+OVERFLOW_EDGES = (
+    7.950158031179496e+76, 1.1579208923731618e+77, 5.127735412109744e+102,
+    5.643803094122361e+102, 7.741001517595157e+153, 1.3407807929942596e+154,
+    1.5482003035190314e+154, 1.8961503816218352e+154,
+    -682.1765061786864, -684.9378034703697, -685.7343768563338, -685.7459585454055,
+    -689.8919478110705, -695.5940896301074, -696.6943274782477, -696.9787970864088,
+    -697.3783442321603, -697.3840553881503,
+)
+OVERFLOW_X = (
+    [x for e in OVERFLOW_EDGES for x in (e, -e, math.nextafter(e, math.copysign(math.inf, e)))]
+    + [s * x for s in (1.0, -1.0)
+       for x in (1e38, 1e76, 8e76, 9e76, 1e77, 5.4e102, 1e120, 1e154, 1.45e154, 1.7e154,
+                 1e155, 1e300)]
+    + [-683.5, -687.5, -693.0, -697.0, -700.0, -705.0, -708.0, -709.5, -745.0]
+)
+
+
 def band_points(nc) -> np.ndarray:
     """x where g runs over [36.5, 39.5], across the subnormal 1 - Phi(g)."""
     return (np.linspace(36.5, 39.5, 601) ** nc.t - nc.d) / nc.c
@@ -420,17 +444,22 @@ def record_or_error(f, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def scalar_digests(t: float, n: float) -> tuple[str, str]:
-    """sha256 of exact_pdf over lock_points on the support, and of every
-    coefficients, cdf_approx and pdf_approx record over RECORD_X at all
-    four orders."""
-    nc = norming_constants(n, t)
-    pdf = sha256([exact_pdf(nc, x) for x in on_support(nc, lock_points(nc))])
-    records = [record_or_error(coefficients, t, x) for x in RECORD_X]
+def records_digest(nc, xs) -> str:
+    """sha256 of every coefficients, cdf_approx and pdf_approx record or
+    error over xs, at all four orders."""
+    records = [record_or_error(coefficients, nc.t, x) for x in xs]
     for order in ApproxOrder:
         records += [record_or_error(f, nc, x, order)
-                    for f in (cdf_approx, pdf_approx) for x in RECORD_X]
-    return pdf, hashlib.sha256("\n".join(records).encode()).hexdigest()
+                    for f in (cdf_approx, pdf_approx) for x in xs]
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def scalar_digests(t: float, n: float) -> tuple[str, str]:
+    """sha256 of exact_pdf over lock_points on the support, and
+    records_digest over RECORD_X."""
+    nc = norming_constants(n, t)
+    pdf = sha256([exact_pdf(nc, x) for x in on_support(nc, lock_points(nc))])
+    return pdf, records_digest(nc, RECORD_X)
 
 
 def band_digest(t: float, n: float) -> str:
@@ -499,6 +528,21 @@ PDF_BAND_DIGESTS = {
     "3|1e+300": "1b1fff922cc4f86a1e7f08647f5fdac3f3483542f535f9dfc4f1eb4ddd20128c",
 }
 
+# records_digest over OVERFLOW_X at every (t, n) of OVERFLOW_T x OVERFLOW_N.
+# Frozen before the coefficient kernel shared its subexpressions.
+OVERFLOW_BAND_DIGESTS = {
+    "0.5|10": "a65690488f5da21d3796272ccb17f2dff062831ec19d8c905f7bf3e720059d50",
+    "0.5|1e+06": "0e22fa8702df92b5db47d0f29f3e6a54abb2f035ed2f56be6e9d82c71e9d75fe",
+    "1|10": "ba1d64d77f9a07c5bce939ca7b25f96822f86b870aa792e2e2c64a2b19fdc7ac",
+    "1|1e+06": "1efebe0bcdad51ce91430f8d101608de1b66df4a2bb68c144910815f2731b047",
+    "2|10": "153922e88d10a46604eae39ee0fbf99e33942aecc75e6e6932db2aae4183083a",
+    "2|1e+06": "d6d3cefabb168e24f5417725940e7f09c97c8de3e50dd7bcdb4e14836092faa7",
+    "3|10": "6afcb88ad50c801c0794cf56f6ffc7745895f3000829116841e079c2c5006411",
+    "3|1e+06": "d1bac8d7a02591044189e5a1a10227b35a338b1b0524227c9a049944c874d7f4",
+    "8|10": "6d29a7a9c61bc97f35cea86cc2cdb162e0e8b00ae47cc6e2df5ff5d31e16c7eb",
+    "8|1e+06": "d8f67f832007e892d31b2283fabf89d29d624399c95ac022bf649800aed2fec9",
+}
+
 
 def assert_shape_and_dtype(nc, xs, shape) -> np.ndarray:
     """exact_cdf_values over xs: a float64 array of the input's shape, with
@@ -528,6 +572,19 @@ class TestFrozenBytes:
     def test_pdf_band_digests(self, key):
         t, n = map(float, key.split("|"))
         assert band_digest(t, n) == PDF_BAND_DIGESTS[key]
+
+    @pytest.mark.parametrize("n", OVERFLOW_N)
+    @pytest.mark.parametrize("t", OVERFLOW_T)
+    def test_overflow_band_digests(self, t, n):
+        digest = records_digest(norming_constants(n, t), OVERFLOW_X)
+        assert digest == OVERFLOW_BAND_DIGESTS[f"{t:g}|{n:g}"]
+
+    def test_overflow_band_is_mixed(self):
+        # at every t the points straddle the refusal of the coefficients
+        for t in OVERFLOW_T:
+            refused = [record_or_error(coefficients, t, x).startswith("DomainError")
+                       for x in OVERFLOW_X]
+            assert 0 < sum(refused) < len(refused)
 
     def test_delta_window_is_covered(self):
         # the window points straddle the dead-term cut at delta = -746
