@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
-from .norming import NormingConstants, norming_constants, solve_b, transformed_quantile
-from .special_functions import gumbel_cdf, gumbel_pdf
+from .norming import NormingConstants, _support_point, norming_constants, solve_b
+from .special_functions import _tuple_new, gumbel_cdf, gumbel_pdf
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -100,7 +100,7 @@ def _grid_constants(t: float, x: float, n_grid: Sequence[float]) -> list[Norming
     ncs = [norming_constants(n, t) for n in grid]
     for nc in ncs:
         try:
-            transformed_quantile(nc, x)  # the support check, with x_min
+            _support_point(nc, x)  # the support check, with x_min
         except DomainError as exc:
             raise DomainError(f"{exc} at grid point n={nc.n:g}", x_min=exc.x_min) from None
     return ncs
@@ -145,8 +145,8 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     """
     if target not in ("cdf", "pdf"):
         raise DomainError(f"target must be 'cdf' or 'pdf', got {target!r}")
-    order = ApproxOrder(order)
-    scaling = Scaling(scaling)
+    order = order if type(order) is ApproxOrder else ApproxOrder(order)
+    scaling = scaling if type(scaling) is Scaling else Scaling(scaling)
     if scaling is Scaling.HALL_SCALED and target != "cdf":
         raise DomainError("hall_scaled applies to the distribution only")
     x = float(x)
@@ -164,9 +164,8 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
             res = [err - first for err in errs]
         else:
             res = [err - first - second / nc.b_squared for nc, err in zip(ncs, errs)]
-    rows = [CurveRow(nc.n, nc.b, r) for nc, r in zip(ncs, res)]
-    return ErrorCurve(t=float(t), x=x, target=target, order=order,
-                      rows=tuple(rows), scaling=scaling)
+    rows = tuple([_tuple_new(CurveRow, (nc.n, nc.b, r)) for nc, r in zip(ncs, res)])
+    return _tuple_new(ErrorCurve, (float(t), x, target, order, rows, scaling))
 
 
 def rate_fit(curve: ErrorCurve) -> SlopeFit:
@@ -193,8 +192,7 @@ def rate_fit(curve: ErrorCurve) -> SlopeFit:
     intercept = ybar - slope * xbar
     ssr = sum((w - intercept - slope * v) ** 2 for v, w in zip(xs, ys))
     stderr = math.sqrt(ssr / (m - 2) / sxx)
-    return SlopeFit(slope=slope, intercept=intercept, stderr=stderr,
-                    points_used=m, noise_floor_hits=floored)
+    return _tuple_new(SlopeFit, (slope, intercept, stderr, m, floored))
 
 
 # |gap| smaller than this counts as converged when checking monotone decrease;
@@ -213,7 +211,7 @@ def hall_limit_check(t: float, x: float, n_grid: Sequence[float]) -> HallCheck:
     x = float(x)
     ncs = _grid_constants(t, x, n_grid)
     errs, k1, k2 = _scaled_errors(ncs, x, "cdf")
-    rows = [HallRow(nc.n, err, k1, err - k1) for nc, err in zip(ncs, errs)]
+    rows = tuple([_tuple_new(HallRow, (nc.n, err, k1, err - k1)) for nc, err in zip(ncs, errs)])
     decreasing = all(
         abs(b.gap) < abs(a.gap) or (abs(a.gap) < GAP_TOLERANCE and abs(b.gap) < GAP_TOLERANCE)
         for a, b in zip(rows, rows[1:])
@@ -222,9 +220,7 @@ def hall_limit_check(t: float, x: float, n_grid: Sequence[float]) -> HallCheck:
     bound = 1.5 * abs(k2) / u + 10.0 / (u * u)
     final_gap = rows[-1].gap
     passed = decreasing and abs(final_gap) <= bound
-    return HallCheck(t=float(t), x=x, rows=tuple(rows),
-                     gaps_decreasing=decreasing, final_gap=final_gap,
-                     bound=bound, passed=passed)
+    return _tuple_new(HallCheck, (float(t), x, rows, decreasing, final_gap, bound, passed))
 
 
 def naive_t2_constants(n: float) -> NormingConstants:

@@ -67,7 +67,9 @@ the whole array when its condition holds at every point, and is skipped
 when it holds at none; only a mixed condition gathers and scatters the
 points it selects. ``exact_cdf_values`` clamps c*x + d at 0, so a point off
 the support enters the kernel as g = 0, where the boundary patch gives
-F = 0, and takes every F from its log in one exp.
+F = 0, and takes every F from its log in one exp. Its elementwise steps,
+c*x + d, the clamp, the power and that exp, run in one buffer of the
+input's shape.
 """
 from __future__ import annotations
 
@@ -93,7 +95,8 @@ class _ScalarOps:
     log_ndtr, native = log_ndtr, float  # log_ndtr returns numpy scalars
     log = staticmethod(lambda v: math.log(v) if v > 0.0 else -math.inf)
     least = staticmethod(lambda v: v)
-    patch = classmethod(lambda cls, out, cond, fix, *args: fix(cls, *args) if cond else out)
+    # a staticmethod: a classmethod would build a bound method at every call
+    patch = staticmethod(lambda out, cond, fix, *args: fix(_ScalarOps, *args) if cond else out)
 
 
 class _ArrayOps:
@@ -189,10 +192,17 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     points get NaN.
     """
     xs = np.asarray(xs, dtype=float)
-    # a point off the support (c*x may overflow to -inf) enters the kernel
-    # as g = 0, where the boundary patch gives log F = -inf; maximum keeps a
-    # NaN. The patches take log 0 = -inf, and c*x may overflow to inf (F = 1)
+    # one buffer takes c*x + d, g and F in turn. A point off the support
+    # (c*x may overflow to -inf) enters the kernel as g = 0, where the
+    # boundary patch gives log F = -inf; maximum keeps a NaN. The patches
+    # take log 0 = -inf, and c*x may overflow to inf (F = 1)
+    buf = np.empty(xs.shape)
     with np.errstate(all="ignore"):
-        arg = np.maximum(nc.c * xs + nc.d, 0.0)
-        log_cdf = _log_cdf(_ArrayOps, nc.n, arg ** (1.0 / nc.t))
-        return np.exp(log_cdf, out=np.empty(xs.shape))
+        np.multiply(xs, nc.c, out=buf)
+        buf += nc.d
+        np.maximum(buf, 0.0, out=buf)
+        # buf[()] is buf itself, but for a 0-d input its scalar: so a 0-d
+        # input keeps numpy's scalar pow, whose last bits the array loop's
+        # need not share
+        buf[()] **= 1.0 / nc.t
+        return np.exp(_log_cdf(_ArrayOps, nc.n, buf), out=buf)

@@ -5,15 +5,20 @@ Both approximation families share the scale factor B = b^(-2-2*[t=2]): the
 distribution expands as Lambda + B*Lambda'*(k1 + k2/b^2 + ...), the density
 as Lambda'*(1 + B*(varpi + tau/b^2 + ...)). The survival-power and
 density-factor expansions multiply out to the same coefficients; the test
-suite rebuilds them from ``_density_factor_terms`` as a consistency check.
+suite states the density factor's terms on its own and checks their
+product against varpi and tau.
 
 One kernel evaluates the six coefficients at a point into their named
 record, from the e^{-x} that the Gumbel helper computed for Lambda and
 Lambda' there, so each approximation takes one exponential and one
 coefficient pass per call; ``coefficients`` checks x and calls the same
-kernel. The approximations take t from a NormingConstants, whose
-constructor checked it, so the kernel re-checks only a t that is not a
-positive finite float.
+kernel. The kernel writes out the density factor's terms (h and m2, or
+p1 and p2 at t = 2) where varpi and tau use them, and forms each t-only
+subexpression once; every float expression keeps its association, so the
+bits are those of the polynomials as printed. The approximations take t
+from a NormingConstants, whose constructor checked it, and check a float
+x in place, so the full checks run only for a t or x that is not a
+positive (finite) float.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import NamedTuple
 
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError
-from .norming import NormingConstants, _power_index, _scales
+from .norming import NormingConstants, _power_index
 from .special_functions import Probability, _from_raw, _gumbel, _require_finite, _tuple_new
 
 _isfinite = math.isfinite
@@ -60,44 +65,45 @@ class ExpansionCoefficients(NamedTuple):
     theta2: float
 
 
-def _density_factor_terms(t: float, x: float) -> tuple[float, float]:
-    """Density factor n * d/dx Phi(g) = e^{-x}(1 + m1/b^2 + m2/b^4 + ...): (h, m2),
-    m1 = x*h; at t = 2 e^{-x}(1 + p1/b^4 - p2/b^6 + ...): (p1, p2) =
-    (1/2 + x + x^2, 1/3 + 2x + 2x^2 + (4/3)x^3)."""
-    if t == 2.0:
-        return 0.5 + x + x * x, 1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3
-    h = 1.0 - t + 0.5 * (t - 2.0) * x
-    m2 = x * x * ((1.0 - t) * (1.0 - 2.0 * t) / 2.0
-                  + 5.0 * (1.0 - t) * (t - 2.0) / 6.0 * x
-                  + (t - 2.0) ** 2 / 8.0 * x * x)
-    return h, m2
-
-
 def _coefficients(t: float, x: float, emx: float) -> ExpansionCoefficients:
     """The six coefficients at a finite float x, emx = e^{-x}, with the
     DomainError that ``coefficients`` documents."""
-    if not (type(t) is float and 0.0 < t < math.inf):  # nc.t passed this already
+    if not (type(t) is float and t > 0.0 and _isfinite(t)):  # nc.t passed this already
         t = _power_index(t)
     try:
-        first, second = _density_factor_terms(t, x)
         if t == 2.0:
-            theta1 = 3.5 + 3.0 * x + x * x
-            theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + (4.0 / 3.0) * x ** 3
+            # the density factor is e^{-x}(1 + p1/b^4 - p2/b^6 + ...)
+            xx = x * x
+            cube = (4.0 / 3.0) * x ** 3
+            p1 = 0.5 + x + xx
+            p2 = 1.0 / 3.0 + 2.0 * x + 2.0 * x * x + cube
+            theta1 = 3.5 + 3.0 * x + xx
+            theta2 = 43.0 / 3.0 + 14.0 * x + 6.0 * x * x + cube
             k1, k2 = -theta1, theta2
-            varpi, tau = first - emx * theta1, emx * theta2 - second
+            varpi, tau = p1 - emx * theta1, emx * theta2 - p2
         else:
-            theta1 = 1.0 + x + 0.5 * (2.0 - t) * x * x
+            # the density factor is e^{-x}(1 + x*h/b^2 + m2/b^4 + ...)
+            one_t, t_2 = 1.0 - t, t - 2.0
+            quartic = t_2 ** 2 / 8.0
+            h = one_t + 0.5 * t_2 * x
+            m2 = x * x * (one_t * (1.0 - 2.0 * t) / 2.0
+                          + 5.0 * one_t * t_2 / 6.0 * x
+                          + quartic * x * x)
+            two_t = 2.0 - t
+            theta1 = 1.0 + x + 0.5 * two_t * x * x
             theta2 = (3.0 + 3.0 * x + 1.5 * x * x
-                      + (2.0 - t) * (2.0 * t + 1.0) / 6.0 * x ** 3
-                      + (t - 2.0) ** 2 / 8.0 * x ** 4)
+                      + two_t * (2.0 * t + 1.0) / 6.0 * x ** 3
+                      + quartic * x ** 4)
             k1, k2 = theta1, -(theta2 - 0.5 * emx * theta1 * theta1)
-            varpi = x * first + emx * theta1
-            tau = x * emx * first * theta1 + second + emx * k2
+            varpi = x * h + emx * theta1
+            tau = x * emx * h * theta1 + m2 + emx * k2
     except OverflowError:
         raise DomainError(f"expansion coefficients overflow at x={x}") from None
-    # each on its own: x*x products reach inf without an OverflowError; theta1
-    # is +-k1, and theta2 is finite where k2 is
-    if not (_isfinite(k1) and _isfinite(k2) and _isfinite(varpi) and _isfinite(tau)):
+    # x*x products reach inf without an OverflowError. varpi adds e^{-x}*theta1
+    # = +-e^{-x}*k1 and tau adds e^{-x}*k2, and e^{-x} >= 0 times an inf or nan
+    # is inf or nan: so varpi and tau are finite only where k1 and k2 are.
+    # theta1 is +-k1, and theta2 is finite where k2 is
+    if not (_isfinite(varpi) and _isfinite(tau)):
         raise DomainError(f"expansion coefficients overflow at x={x}")
     return _tuple_new(ExpansionCoefficients, (k1, k2, varpi, tau, theta1, theta2))
 
@@ -124,14 +130,16 @@ def cdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Probabilit
     order = order if type(order) is ApproxOrder else ApproxOrder(order)
     if order is _EXACT:
         return powex.exact_law.exact_cdf(nc, x)
-    x = _require_finite(x)
+    if not (type(x) is float and _isfinite(x)):
+        x = _require_finite(x)
     emx, lam, lam_pdf = _gumbel(x)
     if order is _LIMIT:
         return _tuple_new(Probability, (lam, -emx, False, None))
-    co = _coefficients(nc.t, x, emx)
-    u, scale = _scales(nc)
+    t = nc.t
+    co = _coefficients(t, x, emx)
+    u = nc.b * nc.b
     correction = co.k1 if order is _SECOND else co.k1 + co.k2 / u
-    return _from_raw(lam + 1.0 / scale * lam_pdf * correction)
+    return _from_raw(lam + 1.0 / (u * u if t == 2.0 else u) * lam_pdf * correction)
 
 
 class Density(NamedTuple):
@@ -156,14 +164,16 @@ def pdf_approx(nc: NormingConstants, x: float, order: ApproxOrder) -> Density:
     order = order if type(order) is ApproxOrder else ApproxOrder(order)
     if order is _EXACT:
         return _tuple_new(Density, (powex.exact_law.exact_pdf(nc, x), False, None))
-    x = _require_finite(x)
+    if not (type(x) is float and _isfinite(x)):
+        x = _require_finite(x)
     emx, _, lam_pdf = _gumbel(x)
     if order is _LIMIT:
         return _tuple_new(Density, (lam_pdf, False, None))
-    co = _coefficients(nc.t, x, emx)
-    u, scale = _scales(nc)
+    t = nc.t
+    co = _coefficients(t, x, emx)
+    u = nc.b * nc.b
     correction = co.varpi if order is _SECOND else co.varpi + co.tau / u
-    raw = lam_pdf * (1.0 + 1.0 / scale * correction)
+    raw = lam_pdf * (1.0 + 1.0 / (u * u if t == 2.0 else u) * correction)
     if raw >= 0.0:
         return _tuple_new(Density, (raw, False, None))
     return _tuple_new(Density, (0.0, True, raw))

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -52,6 +53,8 @@ from scipy.special import ndtri
 from .errors import DomainError, ResourceError
 from .exact_law import exact_cdf_values
 from .norming import NormingConstants
+
+_TINY = sys.float_info.min
 
 # Hard budget on total uniform draws per simulate call
 MAX_TOTAL_DRAWS = 10 ** 10
@@ -116,7 +119,9 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     n must be integer-valued here (a block size); reps >= 1; seed is a
     64-bit unsigned key for the counter-based generator. Requests beyond
     ``MAX_TOTAL_DRAWS`` total draws or ``MAX_REPS`` replicates are refused
-    with ResourceError before anything is allocated.
+    with ResourceError before anything is allocated. A sample in which some
+    |M_n|^t overflows, or falls below the least normal float, is a
+    DomainError.
     """
     n_float = nc.n
     if n_float != int(n_float):
@@ -221,6 +226,10 @@ def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, first: int, seed: int,
     np.abs(dst, out=dst)
     with np.errstate(over="ignore"):  # refused below
         dst **= nc.t
+    # below the least normal float |M_n|^t has lost its bits; at 0 the
+    # replicate would be x_min = -d/c, off the exact law's open support
+    if dst.min() < _TINY:
+        raise DomainError(f"simulated |M_n|^t underflows at n={n}, t={nc.t!r}")
     dst -= nc.d
     dst /= nc.c
     if not np.isfinite(dst).all():

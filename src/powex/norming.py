@@ -18,6 +18,8 @@ from typing import NamedTuple
 from .errors import DomainError
 from .special_functions import LOG_2PI, _require_finite, _tuple_new
 
+_isfinite = math.isfinite
+
 _NEWTON_MAX_ITER = 50
 _NEWTON_RTOL = 1e-15
 
@@ -42,13 +44,8 @@ class NormingConstants(NamedTuple):
     @property
     def error_scale(self) -> float:
         """b^(2+2*[t=2]): the expansions' corrections are O(1/error_scale)."""
-        return _scales(self)[1]
-
-
-def _scales(nc: NormingConstants) -> tuple[float, float]:
-    """(b_squared, error_scale) of nc in one call."""
-    u = nc.b * nc.b
-    return u, u * u if nc.t == 2.0 else u
+        u = self.b * self.b
+        return u * u if self.t == 2.0 else u
 
 
 def solve_b(n: float) -> float:
@@ -62,7 +59,8 @@ def solve_b(n: float) -> float:
     The residual |2*pi*b^2*e^{b^2}/n^2 - 1| is at most 1e-12 for all
     admissible n (in practice a few ulp).
     """
-    n = _require_finite(n, "n")
+    if not (type(n) is float and _isfinite(n)):
+        n = _require_finite(n, "n")
     if n < 2.0:
         raise DomainError(f"sample size must satisfy n >= 2, got {n}")
     ell = 2.0 * math.log(n) - LOG_2PI
@@ -90,7 +88,8 @@ def norming_constants(n: float, t: float) -> NormingConstants:
     for n <= sqrt(2*pi*e) (about 4.13), so integer sample sizes below 5
     are rejected there.
     """
-    t = _power_index(t)
+    if not (type(t) is float and t > 0.0 and _isfinite(t)):
+        t = _power_index(t)
     b = solve_b(n)
     u = b * b
     if t == 2.0:
@@ -116,13 +115,11 @@ class TransformedQuantile(NamedTuple):
     dg_dx: float
 
 
-_POWER_OVERFLOW = "(c*x + d)^(1/t) overflows at x={}"
-
-
 def _support_point(nc: NormingConstants, x: float) -> tuple[float, float, float]:
     """(x, c*x + d, g(x)) with x as a float, and the DomainErrors that
     ``transformed_quantile`` documents: the one home of the support check."""
-    x = _require_finite(x)
+    if not (type(x) is float and _isfinite(x)):
+        x = _require_finite(x)
     arg = nc.c * x + nc.d
     if arg <= 0.0:
         x_min = -nc.d / nc.c
@@ -133,7 +130,7 @@ def _support_point(nc: NormingConstants, x: float) -> tuple[float, float, float]
     try:
         return x, arg, arg ** (1.0 / nc.t)
     except OverflowError:
-        raise DomainError(_POWER_OVERFLOW.format(x)) from None
+        raise DomainError(f"(c*x + d)^(1/t) overflows at x={x}") from None
 
 
 def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
@@ -141,11 +138,12 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
 
     Defined only where c*x + d > 0; below that the power is not real and
     the error reports the boundary x_min = -d/c. A power past the float
-    range is a DomainError too.
+    range is a DomainError too, whose message names g or g' as the one
+    that overflowed.
     """
     x, arg, g = _support_point(nc, x)
     inv_t = 1.0 / nc.t
     try:
         return _tuple_new(TransformedQuantile, (g, (nc.c * inv_t) * arg ** (inv_t - 1.0)))
     except OverflowError:
-        raise DomainError(_POWER_OVERFLOW.format(x)) from None
+        raise DomainError(f"g'(x) = (c/t)*(c*x + d)^(1/t - 1) overflows at x={x}") from None

@@ -10,9 +10,11 @@ from __future__ import annotations
 import collections
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -78,9 +80,14 @@ def test_criterion_09_monte_carlo_ks():
 
 def test_criterion_10_cli_determinism_and_verify():
     # verify runs check_cli_determinism as its last check, so one verify run
-    # covers the determinism criterion and the CLI verb together
+    # covers the determinism criterion and the CLI verb together. The child,
+    # and the CLI runs it starts, import this powex whether or not the
+    # caller set PYTHONPATH
+    env = dict(os.environ)
+    src = str(Path(acceptance.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, "-m", "powex", "verify"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     head, _, tail = proc.stdout.partition("\n[")
     summary = json.loads("[" + tail)

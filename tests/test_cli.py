@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from powex import (
+    acceptance,
     cli,
     convergence_lab,
     norming_constants,
@@ -346,6 +347,13 @@ class TestOverflowRefused:
         assert (code, out) == (1, "")
         assert err == "error: simulated (|M_n|^t - d)/c overflows at n=100, t=700.0\n"
 
+    def test_simulate_underflow_is_one_error_line(self):
+        # printed x_min = -d/c for the two replicates whose |M_n|^t underflowed
+        code, out, err = run_cli(["simulate", "--n", "2", "--t", "1587",
+                                  "--reps", "3", "--seed", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: simulated |M_n|^t underflows at n=2, t=1587.0\n"
+
 
 class TestRatesVerb:
     def test_csv_with_slope_comment(self):
@@ -471,6 +479,29 @@ class TestSimulateVerb:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "replicate budget" in err
+
+
+class TestVerifyVerb:
+    def test_a_failed_check_fails_the_verb(self, monkeypatch):
+        # run in process with a stand-in battery: the FAIL line, the JSON
+        # summary and exit code 1
+        results = [
+            acceptance.CheckResult("good", "PASS", 0.25, 1.0, "fine", 0.5),
+            acceptance.CheckResult("bad", "FAIL", 3.0, 2.0, "too big", 0.125),
+        ]
+        monkeypatch.setattr(acceptance, "run_all", lambda: results)
+        code, out, err = run_cli(["verify"])
+        assert (code, err) == (1, "")
+        lines = out.split("\n")
+        assert lines[:2] == ["PASS good: measured=0.25 bound=1", "FAIL bad: measured=3 bound=2"]
+        assert json.loads("\n".join(lines[2:])) == [
+            {"check": "good", "status": "PASS", "measured": 0.25, "bound": 1.0,
+             "detail": "fine", "elapsed_s": 0.5},
+            {"check": "bad", "status": "FAIL", "measured": 3.0, "bound": 2.0,
+             "detail": "too big", "elapsed_s": 0.125},
+        ]
+        monkeypatch.setattr(acceptance, "run_all", lambda: results[:1])
+        assert run_cli(["verify"])[0] == 0
 
 
 class TestOutputFile:

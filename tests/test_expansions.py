@@ -35,7 +35,6 @@ from powex import (
     survival,
     transformed_quantile,
 )
-from powex.expansions import _density_factor_terms
 
 
 def rel_err(got: float, want: float) -> float:
@@ -307,8 +306,21 @@ class TestOrderLookup:
 
 # The survival-power factor nu and the density factor n * d/dx Phi(g) have
 # expansions whose product is the density expansion. No caller of the
-# library needs them, so they live here, built from the library's
-# coefficients and _density_factor_terms, and check both.
+# library needs them, so they live here: nu from the library's coefficients,
+# the density factor from its own statement of the terms, and the product
+# checks the library's varpi and tau against both.
+
+def density_factor_terms(t: float, x: float) -> tuple[float, float]:
+    """Density factor n * d/dx Phi(g) = e^{-x}(1 + m1/b^2 + m2/b^4 + ...): (h, m2),
+    m1 = x*h; at t = 2 e^{-x}(1 + p1/b^4 - p2/b^6 + ...): (p1, p2)."""
+    if t == 2.0:
+        return 0.5 + x + x * x, 1.0 / 3.0 + 2.0 * x + 2.0 * x * x + (4.0 / 3.0) * x ** 3
+    h = 1.0 - t + 0.5 * (t - 2.0) * x
+    m2 = x * x * ((1.0 - t) * (1.0 - 2.0 * t) / 2.0
+                  + 5.0 * (1.0 - t) * (t - 2.0) / 6.0 * x
+                  + (t - 2.0) ** 2 / 8.0 * x * x)
+    return h, m2
+
 
 def nu_expansion(nc, x: float) -> float:
     """Phi^{n-1}(g) - (1 - Phi(g))^{n-1}, truncated after b^-4 (t != 2) or
@@ -326,7 +338,7 @@ def density_factor_expansion(nc, x: float) -> float:
     """n * d/dx Phi((c*x + d)^(1/t)), truncated at b^-4 (t != 2) or b^-6
     (t = 2); the leading term is e^{-x} in both branches."""
     u = nc.b_squared
-    first, second = _density_factor_terms(nc.t, x)
+    first, second = density_factor_terms(nc.t, x)
     if nc.t == 2.0:
         return math.exp(-x) * (1.0 + first / (u * u) - second / u ** 3)
     return math.exp(-x) * (1.0 + x * first / u + second / (u * u))
@@ -419,7 +431,7 @@ class TestDensityFactorExpansion:
         nc = norming_constants(math.exp(log_n), t)
         assume(nc.c * x + nc.d > 0.0)
         co = coefficients(t, x)
-        first, second = _density_factor_terms(t, x)
+        first, second = density_factor_terms(t, x)
         u, emx = nc.b_squared, math.exp(-x)
         if nc.t == 2.0:
             s1, s2, d1, d2 = -emx * co.theta1, emx * co.theta2, first, -second

@@ -154,6 +154,20 @@ class TestSimulate:
         sample = simulate_block_maxima(norming_constants(100.0, 700.0), 3, 1)
         assert np.isfinite(sample.values).all()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_underflow_refused(self, monkeypatch, workers):
+        # |M_2|^1587 underflows to 0 for two of the first three replicates,
+        # which were then printed as x_min = -d/c, off the exact law's open
+        # support
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 2)
+        nc = norming_constants(2.0, 1587.0)
+        with pytest.raises(DomainError) as excinfo:
+            simulate_block_maxima(nc, 3, 0)
+        assert str(excinfo.value) == "simulated |M_n|^t underflows at n=2, t=1587.0"
+        # the first replicate alone is on the support
+        assert simulate_block_maxima(nc, 1, 0).values[0] > -nc.d / nc.c
+
     def test_prefix_stability_across_reps(self):
         # extending the replicate count extends the stream, it does not
         # reshuffle the prefix
