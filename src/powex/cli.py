@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("norming", help="norming constants b, c, d for (n, t)")
+    p.set_defaults(run=_cmd_norming)
     p.add_argument("--n", type=_parse_float, required=True,
                    help="sample size (>= 2; scientific notation accepted)")
     p.add_argument("--t", type=_parse_float, default=1.0,
@@ -203,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, PRECISION_CONSTANTS)
 
     p = sub.add_parser("table", help="approximation/exact values on an x-grid")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--n", type=_parse_float, required=True, help="sample size")
     p.add_argument("--t", type=_parse_float, required=True, help="power index")
     p.add_argument("--x", type=parse_grid, required=True,
@@ -216,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, PRECISION_RESIDUALS)
 
     p = sub.add_parser("rates", help="residual decay across an n-grid with slope fit")
+    p.set_defaults(run=_cmd_rates)
     p.add_argument("--t", type=_parse_float, required=True, help="power index")
     p.add_argument("--x", type=_parse_float, required=True, help="evaluation point")
     p.add_argument("--target", choices=("cdf", "pdf"), default="cdf")
@@ -231,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, PRECISION_RESIDUALS)
 
     p = sub.add_parser("mills", help="Mills-series tail values vs the survival function")
+    p.set_defaults(run=_cmd_mills)
     p.add_argument("--x", type=parse_grid, default=[5.0, 10.0, 15.0, 20.0],
                    help="x value or START:STOP:STEP, all >= 2 (default 5:20:5)")
     p.add_argument("--order", type=int, default=3,
@@ -238,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, PRECISION_RESIDUALS)
 
     p = sub.add_parser("simulate", help="export normalized powered block maxima")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--n", type=_parse_float, required=True, help="block size (integer)")
     p.add_argument("--t", type=_parse_float, required=True, help="power index")
     p.add_argument("--reps", type=_parse_float, required=True, help="replicate count")
@@ -246,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, PRECISION_RESIDUALS)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--out", default="-",
                    help="output path, or - for standard output (default)")
 
@@ -347,16 +353,8 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
-    handlers = {
-        "norming": _cmd_norming,
-        "table": _cmd_table,
-        "rates": _cmd_rates,
-        "mills": _cmd_mills,
-        "simulate": _cmd_simulate,
-        "verify": _cmd_verify,
-    }
     try:
-        result = handlers[args.verb](args)
+        result = args.run(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         _write_output(text, args.out)
     except PowexError as exc:

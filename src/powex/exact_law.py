@@ -178,9 +178,9 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     # module docstring)
     if m * (_ScalarOps.log(-log_phi) - log_phi) > _DEAD_DELTA:
         log_pair += math.log1p(math.exp(m * float(log_ndtr(-g)) - log_pair))
-    # g' underflows to 0 next to the boundary when t is small
+    # g' underflows to 0 next to the boundary when t is small: log_pdf = -inf
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
-    return math.exp(log_pdf) if log_pdf > -746.0 else 0.0
+    return math.exp(log_pdf)
 
 
 def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
@@ -189,7 +189,8 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
     Points with c*x + d <= 0 get 0.0: the statistic (|M_n|^t - d)/c cannot
     fall below -d/c, so the true distribution function vanishes there. This
     extension (rather than an error) is what a reference CDF needs. NaN
-    points get NaN.
+    points get NaN. Any input shape, 0-d included, gives each point the bits
+    it has in a 1-D array.
     """
     xs = np.asarray(xs, dtype=float)
     # one buffer takes c*x + d, g and F in turn. A point off the support
@@ -201,8 +202,5 @@ def exact_cdf_values(nc: NormingConstants, xs: np.ndarray) -> np.ndarray:
         np.multiply(xs, nc.c, out=buf)
         buf += nc.d
         np.maximum(buf, 0.0, out=buf)
-        # buf[()] is buf itself, but for a 0-d input its scalar: so a 0-d
-        # input keeps numpy's scalar pow, whose last bits the array loop's
-        # need not share
-        buf[()] **= 1.0 / nc.t
+        buf **= 1.0 / nc.t
         return np.exp(_log_cdf(_ArrayOps, nc.n, buf), out=buf)

@@ -45,7 +45,7 @@ import math
 import os
 import sys
 import threading
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -122,6 +122,10 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     with ResourceError before anything is allocated. A sample in which some
     |M_n|^t overflows, or falls below the least normal float, is a
     DomainError.
+
+    Worker w of ``workers`` threads fills chunks w, w + workers, ..., the
+    calling thread being worker 0. A failure or interrupt stops every worker
+    at its next chunk, and the first exception is re-raised as the same object.
     """
     n_float = nc.n
     if n_float != int(n_float):
@@ -144,34 +148,16 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     chunk = max(1, _CHUNK_TARGET_DRAWS // n)
     workers = min(_usable_cpus(), -(-reps // chunk))
     out = np.empty(reps)
-    buffers = [np.empty(min(chunk, reps), np.uint64) for _ in range(workers)]
-
-    def fill(w: int, pos: int, stop: int) -> None:
-        _fill_chunk(out[pos:stop], buffers[w], pos * n, seed, nc)
-
-    _run_chunks(fill, reps, chunk, workers)
-    return SimSample(nc=nc, reps=reps, seed=seed, values=out)
-
-
-def _run_chunks(fill: Callable[[int, int, int], None], total: int, chunk: int,
-                workers: int) -> None:
-    """Call ``fill(w, pos, stop)`` once for each chunk [pos, stop) of
-    range(total), on ``workers`` threads.
-
-    Worker w takes chunks w, w + workers, ...; the calling thread is worker
-    0, and with one worker no thread is started. A failure or interrupt stops
-    every worker at its next chunk, and the first exception is re-raised as
-    the same object.
-    """
     halt = threading.Event()
     errors: list[BaseException] = []
 
     def work(w: int) -> None:
         try:
-            for pos in range(w * chunk, total, workers * chunk):
+            buffer = np.empty(min(chunk, reps), np.uint64)
+            for pos in range(w * chunk, reps, workers * chunk):
                 if halt.is_set():
                     return
-                fill(w, pos, min(pos + chunk, total))
+                _fill_chunk(out[pos:pos + chunk], buffer, pos * n, seed, nc)
         except BaseException as exc:
             errors.append(exc)
             halt.set()
@@ -190,6 +176,7 @@ def _run_chunks(fill: Callable[[int, int, int], None], total: int, chunk: int,
         raise
     if errors:
         raise errors[0]
+    return SimSample(nc=nc, reps=reps, seed=seed, values=out)
 
 
 def _usable_cpus() -> int:

@@ -137,13 +137,16 @@ def transformed_quantile(nc: NormingConstants, x: float) -> TransformedQuantile:
     """g(x) = (c*x + d)^(1/t) and its derivative (c/t)*(c*x + d)^(1/t - 1).
 
     Defined only where c*x + d > 0; below that the power is not real and
-    the error reports the boundary x_min = -d/c. A power past the float
-    range is a DomainError too, whose message names g or g' as the one
-    that overflowed.
+    the error reports the boundary x_min = -d/c. A g or g' past the float
+    range is a DomainError too, whose message names the one that
+    overflowed.
     """
     x, arg, g = _support_point(nc, x)
     inv_t = 1.0 / nc.t
     try:
-        return _tuple_new(TransformedQuantile, (g, (nc.c * inv_t) * arg ** (inv_t - 1.0)))
+        dg_dx = (nc.c * inv_t) * arg ** (inv_t - 1.0)
+        if dg_dx == math.inf:  # the power is finite, its product with c/t is not
+            raise OverflowError
     except OverflowError:
         raise DomainError(f"g'(x) = (c/t)*(c*x + d)^(1/t - 1) overflows at x={x}") from None
+    return _tuple_new(TransformedQuantile, (g, dg_dx))

@@ -546,12 +546,16 @@ OVERFLOW_BAND_DIGESTS = {
 
 def assert_shape_and_dtype(nc, xs, shape) -> np.ndarray:
     """exact_cdf_values over xs: a float64 array of the input's shape, with
-    the bytes of the same points flattened."""
+    the bytes of the same points flattened, and of each point as a 0-d
+    input."""
     out = exact_cdf_values(nc, xs)
     assert type(out) is np.ndarray
     assert out.shape == shape and out.dtype == np.float64
-    flat = exact_cdf_values(nc, np.asarray(xs, dtype=float).ravel())
+    flat_xs = np.asarray(xs, dtype=float).ravel()
+    flat = exact_cdf_values(nc, flat_xs)
     assert out.ravel().tobytes() == flat.tobytes()
+    for x, value in zip(flat_xs, flat):
+        assert exact_cdf_values(nc, np.array(x)).tobytes() == value.tobytes()
     return out
 
 
@@ -607,9 +611,14 @@ class TestFrozenBytes:
         ([0, 1, 2], (3,)),
         (np.linspace(-20.0, 4.0, 6).reshape(2, 3), (2, 3)),
         (np.linspace(-20.0, 4.0, 6, dtype=np.float32).reshape(3, 2), (3, 2)),
+        (np.linspace(-1.5, 4.0, 2000), (2000,)),
     ])
     def test_shape_and_dtype(self, xs, shape):
-        assert_shape_and_dtype(norming_constants(1000.0, 1.0), xs, shape)
+        # at t = 3 and 0.7 the power is inexact, and numpy's scalar pow
+        # differs from its array loop in the last bits (at 93 of the 2000
+        # points at t = 3): a 0-d input must take the array loop too
+        for n, t in ((1000.0, 1.0), (1e6, 3.0), (1e6, 0.7)):
+            assert_shape_and_dtype(norming_constants(n, t), xs, shape)
 
     @pytest.mark.parametrize("offsets,mixed", [
         (np.array(1e-6), False),  # the boundary patch, on the whole 0-d input

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -140,6 +141,33 @@ class TestSimulate:
             simulate_block_maxima(norming_constants(10.0, 1.0), 1000, 3)
         assert excinfo.value is error
         assert len(made) <= 2 + 2
+
+    def test_interrupt_while_joining(self, monkeypatch):
+        # the caller finishes its own chunks and is interrupted in join: it
+        # halts the other worker, joins it again and re-raises, leaving no
+        # thread behind
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 20)
+        join = threading.Thread.join
+        joins = []
+
+        def interrupted_join(thread, timeout=None):
+            joins.append(thread)
+            if len(joins) == 1:
+                raise KeyboardInterrupt
+            return join(thread, timeout)
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            simulate_block_maxima(norming_constants(10.0, 1.0), 1000, 3)
+        assert len(joins) == 2 and joins[0] is joins[1]
+        assert threading.active_count() == before
+
+    def test_usable_cpus_without_affinity_or_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert powex.montecarlo._usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_refused(self, monkeypatch, workers):

@@ -17,6 +17,7 @@ from powex import (
     std_normal_pdf,
     transformed_quantile,
 )
+from powex.cli import parse_and_dispatch
 
 
 def rel_err(got: float, want: float) -> float:
@@ -210,3 +211,21 @@ class TestTransformedQuantile:
                 f(nc, x)
             assert str(excinfo.value) == message
         assert 0.0 < exact_cdf(nc, x).value < 1.0
+
+    def test_derivative_product_overflow(self, capsys):
+        # at n = 2, t = 0.001 the power (c*x + d)^(1/t - 1) and g are finite,
+        # but g' = (c/t) times that power is not: it is refused as when the
+        # power overflows, not returned as inf (a density of 0.0)
+        nc = norming_constants(2.0, 0.001)
+        x = 433.1335908104047
+        arg = nc.c * x + nc.d
+        assert math.isfinite(arg ** (1.0 / nc.t)) and math.isfinite(arg ** (1.0 / nc.t - 1.0))
+        message = f"g'(x) = (c/t)*(c*x + d)^(1/t - 1) overflows at x={x}"
+        for f in (transformed_quantile, exact_pdf):
+            with pytest.raises(DomainError) as excinfo:
+                f(nc, x)
+            assert str(excinfo.value) == message
+        code = parse_and_dispatch(["table", "--n", "2", "--t", "0.001", "--x", repr(x),
+                                   "--orders", "exact", "--target", "pdf"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: {message}\n")
