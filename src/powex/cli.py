@@ -2,20 +2,27 @@
 rate studies, Mills-series comparisons, simulation export, and the
 verification suite.
 
-Exit codes: 0 success, 1 domain/computation error, 2 usage error. All
+Exit codes: 0 success, 1 domain/computation error (one ``error:`` line on
+stderr, also when the output cannot be written), 2 usage error. All
 output is byte-stable for fixed flags: number formatting is deterministic,
 tables are assembled in input order, and simulation is seeded.
+
+Each verb computes all of its values first, so any error is raised before
+the output file is opened or a byte is written. The text is then built and
+written ``BLOCK_ROWS`` rows at a time: the memory a verb needs is its
+values plus one block of text, however many rows it prints.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import re
 import sys
 from decimal import Decimal
-from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .convergence_lab import MAX_GRID_POINTS, Scaling, default_n_grid, error_curve, rate_fit
 from .errors import InsufficientDataError, InternalError, PowexError
@@ -31,6 +38,10 @@ PRECISION_CONSTANTS = 5
 # both formatting branches strip trailing zeros, so more digits print nothing
 # new; the ceiling keeps a huge --precision from allocating gigabytes.
 MAX_PRECISION = 800
+
+# Rows formatted per block of output text; the text of one block is all
+# that is held at a time beyond the values themselves.
+BLOCK_ROWS = 4096
 
 
 def format_number(value: float, precision: int) -> str:
@@ -71,6 +82,13 @@ def emit_table(rows: Sequence[Sequence[float]], schema: Sequence[str],
     JSON: an array of objects keyed by the schema names, full-precision
     floats. Row arity must match the schema.
     """
+    return "".join(_table_blocks(rows, schema, format, precision))
+
+
+def _table_blocks(rows: Sequence[Sequence[float]], schema: Sequence[str],
+                  format: str, precision: int) -> Iterator[str]:
+    # checked here, not in the generators, so that an error comes before
+    # the first block is asked for
     schema = list(schema)
     for row in rows:
         if len(row) != len(schema):
@@ -78,13 +96,33 @@ def emit_table(rows: Sequence[Sequence[float]], schema: Sequence[str],
                 f"row arity {len(row)} does not match schema {schema}"
             )
     if format == "json":
-        return json.dumps([dict(zip(schema, row)) for row in rows], indent=2) + "\n"
+        return _json_blocks(len(rows), lambda i, j: json.dumps(
+            [dict(zip(schema, row)) for row in rows[i:j]], indent=2)[2:-2])
     if format != "csv":
         raise InternalError(f"unknown table format {format!r}")
-    lines = [",".join(schema)]
-    for row in rows:
-        lines.append(",".join(format_number(v, precision) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_blocks(",".join(schema), len(rows), lambda i, j: "".join(
+        ",".join(format_number(v, precision) for v in row) + "\n" for row in rows[i:j]))
+
+
+def _csv_blocks(header: str, count: int, lines: Callable[[int, int], str]) -> Iterator[str]:
+    """The header line, then ``lines(i, j)``: the newline-ended lines of
+    rows i to j - 1, one block at a time."""
+    yield header + "\n"
+    for i in range(0, count, BLOCK_ROWS):
+        yield lines(i, min(i + BLOCK_ROWS, count))
+
+
+def _json_blocks(count: int, items: Callable[[int, int], str]) -> Iterator[str]:
+    """The text of ``json.dumps(records, indent=2)`` and a newline for
+    ``count`` records, one block at a time. ``items(i, j)`` is the text of
+    records i to j - 1 as that array holds them, joined by a comma and a
+    newline."""
+    if not count:
+        yield "[]\n"
+        return
+    for i in range(0, count, BLOCK_ROWS):
+        yield ("[\n" if i == 0 else ",\n") + items(i, min(i + BLOCK_ROWS, count))
+    yield "\n]\n"
 
 
 def _parse_float(text: str) -> float:
@@ -258,68 +296,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_norming(args: argparse.Namespace) -> str:
+def _cmd_norming(args: argparse.Namespace) -> Iterator[str]:
     nc = norming_constants(args.n, args.t)
     rows = [[nc.n, nc.t, nc.b, nc.c, nc.d]]
-    return emit_table(rows, ["n", "t", "b", "c", "d"], args.format, args.precision)
+    return _table_blocks(rows, ["n", "t", "b", "c", "d"], args.format, args.precision)
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
+def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
     nc = norming_constants(args.n, args.t)
     orders = args.orders or list(ApproxOrder)
     approx = cdf_approx if args.target == "cdf" else pdf_approx
     rows = [[x] + [approx(nc, x, order).value for order in orders] for x in args.x]
     schema = ["x"] + [o.value for o in orders]
-    return emit_table(rows, schema, args.format, args.precision)
+    return _table_blocks(rows, schema, args.format, args.precision)
 
 
-def _cmd_rates(args: argparse.Namespace) -> str:
+def _cmd_rates(args: argparse.Namespace) -> Iterator[str]:
     grid = args.n_grid if args.n_grid is not None else default_n_grid()
     curve = error_curve(args.t, args.x, grid, ApproxOrder(args.order),
                         target=args.target, scaling=Scaling(args.scaling))
     rows = [[r.n, r.b, r.residual] for r in curve.rows]
-    text = emit_table(rows, ["n", "b", "residual"], args.format, args.precision)
-    if args.format == "csv":
-        try:
-            fit = rate_fit(curve)
-            slope, stderr = fit.slope, fit.stderr
-        except InsufficientDataError:
-            slope, stderr = math.nan, math.nan
-        text += (f"# slope={format_number(slope, PRECISION_CONSTANTS)},"
-                 f"stderr={format_number(stderr, PRECISION_CONSTANTS)}\n")
-    return text
+    blocks = _table_blocks(rows, ["n", "b", "residual"], args.format, args.precision)
+    if args.format != "csv":
+        return blocks
+    try:
+        fit = rate_fit(curve)
+        slope, stderr = fit.slope, fit.stderr
+    except InsufficientDataError:
+        slope, stderr = math.nan, math.nan
+    footer = (f"# slope={format_number(slope, PRECISION_CONSTANTS)},"
+              f"stderr={format_number(stderr, PRECISION_CONSTANTS)}\n")
+    return itertools.chain(blocks, [footer])
 
 
-def _cmd_mills(args: argparse.Namespace) -> str:
+def _cmd_mills(args: argparse.Namespace) -> Iterator[str]:
     rows = []
     for x in args.x:
         series = mills_series_survival(x, args.order)
         exact = survival(x)
         rows.append([x, series.value, exact.value, abs(series.value - exact.value),
                      mills_series_bound(x, args.order)])
-    return emit_table(rows, ["x", "series", "survival", "abs_error", "bound"],
-                      args.format, args.precision)
+    return _table_blocks(rows, ["x", "series", "survival", "abs_error", "bound"],
+                         args.format, args.precision)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: argparse.Namespace) -> Iterator[str]:
     from .montecarlo import simulate_block_maxima
 
     reps = args.reps
     if not math.isfinite(reps) or reps != int(reps):
         raise PowexError(f"reps must be an integer, got {reps!r}")
     nc = norming_constants(args.n, args.t)
-    sample = simulate_block_maxima(nc, int(reps), args.seed)
+    values = simulate_block_maxima(nc, int(reps), args.seed).values
     if args.format == "json":
         # the text of json.dumps([{"value": v}, ...], indent=2), written
         # directly: the values are finite, so each is its repr
-        return "[\n" + ",\n".join(f'  {{\n    "value": {v!r}\n  }}'
-                                   for v in sample.values.tolist()) + "\n]\n"
-    lines = ["value"]
-    lines.extend(format_number(v, args.precision) for v in sample.values)
-    return "\n".join(lines) + "\n"
+        return _json_blocks(len(values), lambda i, j: ",\n".join(
+            f'  {{\n    "value": {v!r}\n  }}' for v in values[i:j].tolist()))
+    return _csv_blocks("value", len(values), lambda i, j: "".join(
+        format_number(v, args.precision) + "\n" for v in values[i:j].tolist()))
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     from .acceptance import run_all
 
     results = run_all()
@@ -331,15 +369,25 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     summary = [r._asdict() for r in results]
     text = "\n".join(lines) + "\n" + json.dumps(summary, indent=2) + "\n"
     code = 0 if all(r.status == "PASS" for r in results) else 1
-    return text, code
+    return [text], code
 
 
-def _write_output(text: str, destination: str) -> None:
+def _write_output(blocks: Iterable[str], destination: str) -> None:
     if destination == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what stdout still buffers would fail again, with a traceback,
+            # when the interpreter flushes it at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise PowexError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
-        Path(destination).write_text(text)
+        with open(destination, "w") as out:
+            out.writelines(blocks)
     except OSError as exc:
         raise PowexError(f"cannot write {destination}: {exc.strerror or exc}") from None
 
@@ -355,8 +403,8 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         result = args.run(args)
-        text, code = result if isinstance(result, tuple) else (result, 0)
-        _write_output(text, args.out)
+        blocks, code = result if isinstance(result, tuple) else (result, 0)
+        _write_output(blocks, args.out)
     except PowexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

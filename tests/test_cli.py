@@ -6,6 +6,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from powex import (
     acceptance,
     cli,
     convergence_lab,
+    montecarlo,
     norming_constants,
     simulate_block_maxima,
     transformed_quantile,
@@ -37,6 +43,11 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = parse_and_dispatch(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# row counts on either side of the output block edges
+B = cli.BLOCK_ROWS
+BLOCK_EDGES = [B - 1, B, B + 1, 2 * B + 1]
 
 
 class TestFormatNumber:
@@ -144,6 +155,15 @@ class TestEmitTable:
 
     def test_empty_rows(self):
         assert emit_table([], ["x", "p"]) == "x,p\n"
+        assert emit_table([], ["x", "p"], format="json") == "[]\n"
+
+    @pytest.mark.parametrize("count", [1] + BLOCK_EDGES)
+    def test_blocks_join_to_the_whole_text(self, count):
+        rows = [[i / 7, math.exp(-i / 100)] for i in range(count)]
+        assert emit_table(rows, ["x", "p"]) == "x,p\n" + "".join(
+            f"{format_number(x, 12)},{format_number(p, 12)}\n" for x, p in rows)
+        assert emit_table(rows, ["x", "p"], format="json") == json.dumps(
+            [{"x": x, "p": p} for x, p in rows], indent=2) + "\n"
 
     def test_json_full_precision(self):
         text = emit_table([[0.1, 0.39881305239127035]], ["x", "v"], format="json")
@@ -452,6 +472,35 @@ class TestSimulateVerb:
         want = json.dumps([{"value": v} for v in sample.values.tolist()], indent=2)
         assert out == want + "\n"
 
+    @pytest.mark.parametrize("reps", [1] + BLOCK_EDGES)
+    def test_block_boundaries(self, reps):
+        values = simulate_block_maxima(norming_constants(10.0, 1.0), reps, 7).values.tolist()
+        argv = ["simulate", "--n", "10", "--t", "1", "--reps", str(reps), "--seed", "7"]
+        assert run_cli(argv) == (
+            0, "value\n" + "".join(format_number(v, 12) + "\n" for v in values), "")
+        assert run_cli(argv + ["--format", "json"]) == (
+            0, json.dumps([{"value": v} for v in values], indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_output_memory_is_one_block(self, tmp_path, monkeypatch, format):
+        # The sample of 2e5 replicates is 1.6 MB and the sampler's two
+        # workers hold about 1.2 MB of words each: the traced peak measured
+        # 4.0 MB in both formats (22 MB as CSV and 29 MB as JSON when the
+        # whole text was built before writing). --out, because a StringIO
+        # stdout would hold the whole text.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        target = tmp_path / "sample.txt"
+        argv = ["simulate", "--n", "10", "--t", "1", "--format", format, "--out", str(target)]
+        assert parse_and_dispatch(argv + ["--reps", "10"]) == 0  # imports outside the trace
+        tracemalloc.start()
+        try:
+            code = parse_and_dispatch(argv + ["--reps", "2e5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 3_000_000
+        assert peak < 8 * 200_000 + 4_000_000
+
     def test_non_integer_reps(self):
         code, _, err = run_cli(["simulate", "--n", "100", "--t", "1", "--reps", "2.5"])
         assert code == 1
@@ -512,6 +561,71 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text() == "n,t,b,c,d\n1000,2,3.1153,1.7939,9.4989\n"
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_out_file_is_the_stdout_text(self, tmp_path, format):
+        argv = ["simulate", "--n", "10", "--t", "1", "--reps", str(2 * B + 1),
+                "--seed", "3", "--format", format]
+        target = tmp_path / "sample.txt"
+        assert run_cli(argv + ["--out", str(target)]) == (0, "", "")
+        assert target.read_text() == run_cli(argv)[1]
+
+    @pytest.mark.parametrize("argv,what", [
+        (["table", "--n", "10", "--t", "1", "--x=-30:2:0.5", "--orders", "exact"], "x_min"),
+        (["simulate", "--n", "100", "--t", "700", "--reps", "2000", "--seed", "1",
+          "--format", "json"], "overflows"),
+        (["rates", "--t", "1", "--x", "800", "--n-grid", "1e3:1e5:10"],
+         "Gumbel density underflows"),
+    ])
+    def test_failing_verb_writes_nothing(self, tmp_path, argv, what):
+        # every check runs before the first write, and before --out is opened
+        target = tmp_path / "out.txt"
+        for extra in ([], ["--out", str(target)]):
+            code, out, err = run_cli(argv + extra)
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1 and what in err
+        assert not target.exists()
+
+    @staticmethod
+    def child_env(unbuffered):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout(self, unbuffered):
+        # the reader goes away after the first of about 3 MB of lines: one
+        # error line and exit 1, with no traceback and no "Exception
+        # ignored" note from the interpreter's last flush
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "powex", "simulate", "--n", "10", "--t", "1", "--reps", "2e5"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=self.child_env(unbuffered))
+        try:
+            assert proc.stdout.readline() == b"value\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert (code, err) == (1, b"error: cannot write standard output: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "powex", "norming", "--n", "1000"],
+                                  stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE,
+                                  env=self.child_env(unbuffered), timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"error: cannot write standard output: No space left on device\n")
 
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
     def test_unwritable_out(self, tmp_path, where):
