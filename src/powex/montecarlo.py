@@ -17,17 +17,21 @@ fixed (n, t, reps, seed) reproduces byte-identical samples for any chunk
 size and any thread count. Simulation targets moderate n; the exact law
 covers huge n.
 
-The KS check sorts the sample once and evaluates the reference CDF F only
-where the KS gap can reach its maximum D. It first takes F at knots, every
-``_KS_STRIDE``-th sorted point and the last one. Because F is monotone, a
-point strictly between knots a < b has gaps at most
+A sample is sorted at most once, on its first KS check, however many
+checks run on it: ``SimSample.sorted_values`` is computed on first use and
+lives as long as the sample. A simulated sample's values are read-only, so
+its sorted copy cannot go stale. The KS check evaluates the reference CDF F
+only where the KS gap can reach its maximum D. It first takes F at knots,
+every ``_KS_STRIDE``-th sorted point and the last one. Because F is
+monotone, a point strictly between knots a < b has gaps at most
 reach = max(b/n - F(x_(a)), F(x_(b)) - (a+1)/n), and a block whose reach,
 plus ``_KS_MARGIN``, stays below the largest gap at the knots cannot hold
-D. Only the other blocks are evaluated point by point; on the samples of a
-typical run that is a few percent of the points. D has the bits of one
-pass over every point: the gaps are the same float expressions, and float
-subtraction and division are monotone, so a skipped point's computed gap is
-at most its block's computed reach.
+D. Only the points strictly inside the other blocks are evaluated, taken
+as those blocks' index ranges; on the samples of a typical run that is a
+few percent of the points. D has the bits of one pass over every point: the
+gaps are the same float expressions, and float subtraction and division are
+monotone, so a skipped point's computed gap is at most its block's computed
+reach.
 
 The identity max Phi^{-1}(U) = Phi^{-1}(max U) holds exactly only where
 ``scipy.special.ndtri`` is monotone in floating point. scipy 1.17's ndtri
@@ -41,7 +45,9 @@ within a few ulps of each other in that band.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -94,13 +100,28 @@ _KS_MARGIN = 2.0 ** -30
 _COLUMN_MAX_N = 32
 
 
-class SimSample(NamedTuple):
-    """Seeded sample of normalized powered block maxima, length ``reps``."""
-
+class _SimSampleFields(NamedTuple):
     nc: NormingConstants
     reps: int
     seed: int
     values: np.ndarray
+
+
+class SimSample(_SimSampleFields):
+    """Seeded sample of normalized powered block maxima, length ``reps``.
+
+    ``sorted_values`` is the sample sorted ascending (a NaN last), computed
+    on first use and kept with the sample, so any number of ``ks_check``
+    calls sort it once; a ``_replace`` copy starts unsorted. The values of a
+    sample from ``simulate_block_maxima`` are read-only; a hand-built sample
+    must not change its values after a check has sorted them.
+    """
+
+    @functools.cached_property
+    def sorted_values(self) -> np.ndarray:
+        sv = np.sort(self.values)
+        sv.flags.writeable = False
+        return sv
 
 
 class KSResult(NamedTuple):
@@ -117,11 +138,13 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     the module docstring for the ulp-level caveat on ndtri's monotonicity).
 
     n must be integer-valued here (a block size); reps >= 1; seed is a
-    64-bit unsigned key for the counter-based generator. Requests beyond
+    64-bit unsigned key for the counter-based generator. reps and seed must
+    be integers (ints, numpy integers or integral floats); anything else is
+    a DomainError before anything is allocated. Requests beyond
     ``MAX_TOTAL_DRAWS`` total draws or ``MAX_REPS`` replicates are refused
     with ResourceError before anything is allocated. A sample in which some
     |M_n|^t overflows, or falls below the least normal float, is a
-    DomainError.
+    DomainError. The returned values are read-only.
 
     Worker w of ``workers`` threads fills chunks w, w + workers, ..., the
     calling thread being worker 0. A failure or interrupt stops every worker
@@ -131,10 +154,11 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     if n_float != int(n_float):
         raise DomainError(f"simulation needs an integer block size, got n={n_float!r}")
     n = int(n_float)
-    reps = int(reps)
+    reps = _integer("reps", reps)
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    if not (0 <= int(seed) < 2 ** 64):
+    seed = _integer("seed", seed)
+    if not (0 <= seed < 2 ** 64):
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if reps > MAX_REPS:
         raise ResourceError(
@@ -144,7 +168,6 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
         raise ResourceError(
             f"reps*n = {reps * n:.3g} exceeds the {MAX_TOTAL_DRAWS:.0e} draw budget"
         )
-    seed = int(seed)
     chunk = max(1, _CHUNK_TARGET_DRAWS // n)
     workers = min(_usable_cpus(), -(-reps // chunk))
     out = np.empty(reps)
@@ -176,7 +199,19 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
         raise
     if errors:
         raise errors[0]
+    out.flags.writeable = False
     return SimSample(nc=nc, reps=reps, seed=seed, values=out)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an int, a numpy integer or an integral
+    float; a DomainError otherwise (NaN, inf, 2.9, a string)."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _usable_cpus() -> int:
@@ -238,7 +273,9 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     the gaps (i+1)/n - F(x_(i)) and F(x_(i)) - i/n over the sorted sample,
     with the bits of one pass over every point, but F is evaluated only at
     the knots and in the blocks between them whose bound can reach D (see
-    the module docstring). A NaN in the sample gives D = NaN.
+    the module docstring). The sorted sample is ``sample.sorted_values``, so
+    checks after the first on one sample do not sort it again. A NaN in the
+    sample gives D = NaN.
     """
     if reference not in ("exact", "limit"):
         raise DomainError(f"reference must be 'exact' or 'limit', got {reference!r}")
@@ -250,16 +287,17 @@ def ks_check(sample: SimSample, reference: str, alpha: float) -> KSResult:
     if np.shape(sample.values) != (sample.reps,):
         raise DomainError(f"ks_check needs one value per replicate: reps={sample.reps}, "
                           f"values of shape {np.shape(sample.values)}")
-    sv = np.sort(sample.values)
+    sv = sample.sorted_values
     n = sample.reps
     knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
     f = _reference_cdf(sample, reference, sv[knots])
     d = _largest_gap(knots, f, n)  # the sort puts a NaN last: D = NaN, no block passes
     a, b = knots[:-1], knots[1:]
     reach = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
-    inside = np.repeat(reach + _KS_MARGIN >= d, np.diff(knots))
-    inside[a] = False  # the knots themselves are done
-    points = np.flatnonzero(inside)
+    hit = np.flatnonzero(reach + _KS_MARGIN >= d)  # NaN D: no block
+    # the points strictly inside the hit blocks, as concatenated ranges
+    lens = b[hit] - a[hit] - 1
+    points = np.arange(lens.sum()) + np.repeat(a[hit] + 1 - (np.cumsum(lens) - lens), lens)
     if len(points):
         d = max(d, _largest_gap(points, _reference_cdf(sample, reference, sv[points]), n))
     bound = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,30 @@ def test_runner_fails_a_passing_body_over_budget():
     result = run_stub(True, budget_s=0.0)
     assert result.status == "FAIL"
     assert result.elapsed_s > 0.0
+
+
+def test_runner_does_not_charge_a_descheduled_body():
+    # a body that waits 5 ms (as on a busy host) uses almost no CPU: it
+    # passes a 1 ms budget, and its wall time is still reported
+    def sleeping():
+        time.sleep(5e-3)
+        return True, 0.25, 1.0, "slept"
+
+    result = _check("stub", budget_s=1e-3)(sleeping)()
+    assert result.status == "PASS"
+    assert result.elapsed_s >= 5e-3
+
+
+def test_runner_fails_a_body_over_its_cpu_budget():
+    def spinning():
+        start = time.process_time()
+        while time.process_time() - start < 3e-3:
+            pass
+        return True, 0.25, 1.0, "spun"
+
+    result = _check("stub", budget_s=1e-3)(spinning)()
+    assert result.status == "FAIL"
+    assert result.elapsed_s >= 3e-3
 
 
 @pytest.mark.parametrize("ok,status", [(True, "PASS"), (False, "FAIL")])

@@ -222,6 +222,37 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_block_maxima(nc, 10, 2 ** 64)
 
+    @pytest.mark.parametrize("reps,seed", [
+        (math.nan, 0), (10, math.nan), (math.inf, 0), (2.9, 0), (10, -0.5), (10, "7"),
+        (np.float64(2.5), 0), (10, None),
+    ])
+    def test_non_integer_reps_or_seed_refused(self, monkeypatch, reps, seed):
+        # NaN and inf once escaped as ValueError/OverflowError, 2.9 gave 2
+        # replicates, -0.5 seeded 0 and "7" was taken: all are refused before
+        # any array is made
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the integer check")
+
+        monkeypatch.setattr(np, "empty", no_alloc)
+        with pytest.raises(DomainError, match="must be an integer"):
+            simulate_block_maxima(norming_constants(10.0, 1.0), reps, seed)
+
+    @pytest.mark.parametrize("reps,seed", [
+        (5.0, 42.0), (np.int64(5), np.uint64(42)), (np.float32(5), np.int8(42)),
+    ])
+    def test_integer_valued_reps_and_seed_accepted(self, reps, seed):
+        sample = simulate_block_maxima(norming_constants(100.0, 2.0), reps, seed)
+        assert sample.values.tolist() == list(oracles.SIM_N100_T2_R5_S42)
+        assert type(sample.reps) is int and type(sample.seed) is int
+        assert (sample.reps, sample.seed) == (5, 42)
+
+    def test_values_are_read_only(self):
+        sample = simulate_block_maxima(norming_constants(100.0, 2.0), 5, 42)
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values += 1.0
+
     def test_budget(self, monkeypatch):
         nc = norming_constants(1e5, 1.0)
         with pytest.raises(ResourceError):
@@ -312,6 +343,41 @@ class TestKsCheck:
         with pytest.raises(DomainError, match="reference must be"):
             ks_check(sample, "gumbel", alpha=0.1)
 
+    def test_two_checks_sort_the_sample_once(self, monkeypatch):
+        # the exact and limit checks of one sample share its sorted values;
+        # a _replace copy with new values is sorted afresh
+        sort = np.sort
+        sorts = []
+
+        def counting_sort(a, *args, **kwargs):
+            sorts.append(len(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        sample = simulate_block_maxima(norming_constants(100.0, 2.0), 2000, 7)
+        assert sorts == []  # simulating does not sort
+        exact = ks_check(sample, "exact", alpha=0.001)
+        limit = ks_check(sample, "limit", alpha=0.001)
+        assert sorts == [2000]
+        assert exact.statistic.hex() == single_pass_statistic(sample, "exact").hex()
+        assert limit.statistic.hex() == single_pass_statistic(sample, "limit").hex()
+        assert not sample.sorted_values.flags.writeable
+        sorts.clear()
+        shifted = sample._replace(values=sample.values + 0.5)
+        assert type(shifted) is SimSample
+        moved = ks_check(shifted, "limit", alpha=0.001)
+        assert sorts == [2000]
+        assert moved.statistic != limit.statistic
+        assert np.array_equal(shifted.sorted_values, sample.sorted_values + 0.5)
+
+    def test_sample_keeps_its_tuple_behaviour(self):
+        sample = self.perfect_gumbel_sample(1000)
+        assert SimSample._fields == ("nc", "reps", "seed", "values")
+        nc, reps, seed, values = sample
+        assert (reps, seed) == (1000, 0) and values is sample.values
+        assert list(sample._asdict()) == list(SimSample._fields)
+        assert repr(sample).startswith("SimSample(nc=")
+
     @pytest.mark.parametrize("reps", [3000, 1000])
     def test_reps_must_match_the_values(self, reps):
         # more reps than values once indexed past the end; fewer once gave
@@ -394,7 +460,7 @@ class TestKsChunks:
         return simulate_block_maxima(norming_constants(10.0, 1.0), 20000, 7)
 
     @pytest.mark.parametrize("stride", [2, 3, 16, 20001])
-    @pytest.mark.parametrize("reps", [1000, 1001, 1023, 1024, 1025, 20000])
+    @pytest.mark.parametrize("reps", [1000, 1001, 1023, 1024, 1025, 4097, 20000])
     @pytest.mark.parametrize("kind", ["on-law", "off-law", "ties"])
     @pytest.mark.parametrize("reference", ["exact", "limit"])
     def test_bits_match_one_pass(self, monkeypatch, long_sample, stride, reps, kind,
@@ -414,6 +480,29 @@ class TestKsChunks:
         assert res.statistic.hex() == single_pass_statistic(sample, reference).hex()
         if kind == "off-law" and reference == "exact":
             assert res.statistic > 0.3
+
+    @pytest.mark.parametrize("stride", [2, 16, 32])
+    @pytest.mark.parametrize("reps", [1000, 1001, 1023, 1024, 1025, 4097])
+    @pytest.mark.parametrize("kind", ["every-block", "no-block"])
+    def test_bits_match_one_pass_when_every_or_no_block_is_hit(
+            self, monkeypatch, stride, reps, kind):
+        # a sample at the Gumbel quantiles (i + 1/2)/reps has the gap 1/(2 reps)
+        # at every point, so every block can hold D and each point is
+        # evaluated once; a constant sample has D = 1/2 at the first and the
+        # last point, both knots, so no block is evaluated
+        monkeypatch.setattr(powex.montecarlo, "_KS_STRIDE", stride)
+        if kind == "every-block":
+            sample = TestKsCheck.perfect_gumbel_sample(reps)
+        else:
+            sample = TestKsCheck.perfect_gumbel_sample(reps)._replace(
+                values=np.full(reps, -math.log(math.log(2.0))))
+        seen = self.record_reference_calls(monkeypatch)
+        res = ks_check(sample, "limit", alpha=0.001)
+        assert res.statistic.hex() == single_pass_statistic(sample, "limit").hex()
+        if kind == "every-block":
+            assert len(seen) == 2 and sum(k for k, _ in seen) == reps
+        else:
+            assert len(seen) == 1 and res.statistic == 0.5
 
     def test_reference_sees_few_points(self, monkeypatch):
         # the work the pruning saves, on the largest sample of an
