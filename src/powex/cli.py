@@ -8,9 +8,9 @@ output is byte-stable for fixed flags: number formatting is deterministic,
 tables are assembled in input order, and simulation is seeded.
 
 Each verb computes all of its values first, so any error is raised before
-the output file is opened or a byte is written. The text is then built and
-written ``BLOCK_ROWS`` rows at a time: the memory a verb needs is its
-values plus one block of text, however many rows it prints.
+the output file is opened or a byte is written. ``_table_blocks`` then
+turns the columns of every verb but ``verify`` into text ``BLOCK_ROWS`` rows
+at a time: the memory a verb needs is its columns plus one block of text.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import os
 import re
 import sys
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .convergence_lab import MAX_GRID_POINTS, Scaling, default_n_grid, error_curve, rate_fit
 from .errors import InsufficientDataError, InternalError, PowexError
@@ -74,55 +74,54 @@ def format_number(value: float, precision: int) -> str:
     return s
 
 
-def emit_table(rows: Sequence[Sequence[float]], schema: Sequence[str],
-               format: str = "csv", precision: int = PRECISION_RESIDUALS) -> str:
-    """Serialize rows under a column schema.
-
-    CSV: header line then one line per row, values via ``format_number``.
-    JSON: an array of objects keyed by the schema names, full-precision
-    floats. Row arity must match the schema.
-    """
-    return "".join(_table_blocks(rows, schema, format, precision))
-
-
-def _table_blocks(rows: Sequence[Sequence[float]], schema: Sequence[str],
+def _table_blocks(columns: Sequence[Sequence[float]], schema: Sequence[str],
                   format: str, precision: int) -> Iterator[str]:
-    # checked here, not in the generators, so that an error comes before
+    """The text of a table, ``BLOCK_ROWS`` rows at a time, from one list or
+    float array per ``schema`` name. CSV: a header line, then one line per
+    row, values via ``format_number``. JSON: ``json.dumps(records, indent=2)``
+    and a newline, where record i maps each name to row i of its column."""
+    # checked before the generator starts, so that an error comes before
     # the first block is asked for
     schema = list(schema)
-    for row in rows:
-        if len(row) != len(schema):
-            raise InternalError(
-                f"row arity {len(row)} does not match schema {schema}"
-            )
-    if format == "json":
-        return _json_blocks(len(rows), lambda i, j: json.dumps(
-            [dict(zip(schema, row)) for row in rows[i:j]], indent=2)[2:-2])
-    if format != "csv":
+    count = len(columns[0]) if columns else 0
+    if (len(columns) != len(schema) or len(set(schema)) != len(schema)
+            or any(len(column) != count for column in columns)):
+        raise InternalError(f"columns of lengths {[len(c) for c in columns]} "
+                            f"do not match schema {schema}")
+    if format == "csv":
+        head, sep, tail = ",".join(schema) + "\n", "", ""
+        row = ",".join(["%s"] * len(schema)) + "\n"
+        spell = lambda values: [format_number(v, precision) for v in values]
+    elif format == "json":
+        head, sep, tail = ("[\n", ",\n", "\n]\n") if count else ("[]\n", "", "")
+        row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in schema) + "\n  }"
+        # json.dumps's spelling of each float; repr alone is the fast path when all are finite
+        spell = lambda values: (list(map(float.__repr__, values))
+                                if all(map(math.isfinite, values))
+                                else json.dumps(values)[1:-1].split(", "))
+    else:
         raise InternalError(f"unknown table format {format!r}")
-    return _csv_blocks(",".join(schema), len(rows), lambda i, j: "".join(
-        ",".join(format_number(v, precision) for v in row) + "\n" for row in rows[i:j]))
+    # A block is sep.join(row % values) over its rows, built as one join: after
+    # value j comes piece j + 1, after a row's last the row's end, sep and start.
+    pieces = row.split("%s")
+    glue = pieces[1:-1] + [pieces[-1] + sep + pieces[0]]
+    width = 2 * len(columns)
 
+    def blocks() -> Iterator[str]:
+        yield head
+        for i in range(0, count, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, count - i)
+            parts = [""] * (width * rows)
+            for j, column in enumerate(columns):
+                chunk = column[i:i + rows]
+                # an array slice becomes Python floats, without importing numpy here
+                parts[2 * j::width] = spell(chunk.tolist() if hasattr(chunk, "tolist") else chunk)
+                parts[2 * j + 1::width] = [glue[j]] * rows
+            parts[-1] = pieces[-1]
+            yield (sep if i else "") + pieces[0] + "".join(parts)
+        yield tail
 
-def _csv_blocks(header: str, count: int, lines: Callable[[int, int], str]) -> Iterator[str]:
-    """The header line, then ``lines(i, j)``: the newline-ended lines of
-    rows i to j - 1, one block at a time."""
-    yield header + "\n"
-    for i in range(0, count, BLOCK_ROWS):
-        yield lines(i, min(i + BLOCK_ROWS, count))
-
-
-def _json_blocks(count: int, items: Callable[[int, int], str]) -> Iterator[str]:
-    """The text of ``json.dumps(records, indent=2)`` and a newline for
-    ``count`` records, one block at a time. ``items(i, j)`` is the text of
-    records i to j - 1 as that array holds them, joined by a comma and a
-    newline."""
-    if not count:
-        yield "[]\n"
-        return
-    for i in range(0, count, BLOCK_ROWS):
-        yield ("[\n" if i == 0 else ",\n") + items(i, min(i + BLOCK_ROWS, count))
-    yield "\n]\n"
+    return blocks()
 
 
 def _parse_float(text: str) -> float:
@@ -188,11 +187,14 @@ def _parse_orders(text: str) -> list[ApproxOrder]:
     for name in text.split(","):
         name = name.strip()
         try:
-            orders.append(ApproxOrder(name))
+            order = ApproxOrder(name)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"unknown order {name!r}; choose from limit,second,third,exact"
             )
+        if order in orders:
+            raise argparse.ArgumentTypeError(f"repeated order {name!r}")
+        orders.append(order)
     return orders
 
 
@@ -298,25 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_norming(args: argparse.Namespace) -> Iterator[str]:
     nc = norming_constants(args.n, args.t)
-    rows = [[nc.n, nc.t, nc.b, nc.c, nc.d]]
-    return _table_blocks(rows, ["n", "t", "b", "c", "d"], args.format, args.precision)
+    columns = [[nc.n], [nc.t], [nc.b], [nc.c], [nc.d]]
+    return _table_blocks(columns, ["n", "t", "b", "c", "d"], args.format, args.precision)
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
     nc = norming_constants(args.n, args.t)
     orders = args.orders or list(ApproxOrder)
     approx = cdf_approx if args.target == "cdf" else pdf_approx
-    rows = [[x] + [approx(nc, x, order).value for order in orders] for x in args.x]
+    # row by row, so that an error is the one at the first x that has one
+    columns = [args.x] + [[] for _ in orders]
+    for x in args.x:
+        for column, order in zip(columns[1:], orders):
+            column.append(approx(nc, x, order).value)
     schema = ["x"] + [o.value for o in orders]
-    return _table_blocks(rows, schema, args.format, args.precision)
+    return _table_blocks(columns, schema, args.format, args.precision)
 
 
 def _cmd_rates(args: argparse.Namespace) -> Iterator[str]:
     grid = args.n_grid if args.n_grid is not None else default_n_grid()
     curve = error_curve(args.t, args.x, grid, ApproxOrder(args.order),
                         target=args.target, scaling=Scaling(args.scaling))
-    rows = [[r.n, r.b, r.residual] for r in curve.rows]
-    blocks = _table_blocks(rows, ["n", "b", "residual"], args.format, args.precision)
+    columns = [[r.n for r in curve.rows], [r.b for r in curve.rows],
+               [r.residual for r in curve.rows]]
+    blocks = _table_blocks(columns, ["n", "b", "residual"], args.format, args.precision)
     if args.format != "csv":
         return blocks
     try:
@@ -330,13 +337,11 @@ def _cmd_rates(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_mills(args: argparse.Namespace) -> Iterator[str]:
-    rows = []
-    for x in args.x:
-        series = mills_series_survival(x, args.order)
-        exact = survival(x)
-        rows.append([x, series.value, exact.value, abs(series.value - exact.value),
-                     mills_series_bound(x, args.order)])
-    return _table_blocks(rows, ["x", "series", "survival", "abs_error", "bound"],
+    series = [mills_series_survival(x, args.order).value for x in args.x]
+    exact = [survival(x).value for x in args.x]
+    columns = [args.x, series, exact, [abs(s - e) for s, e in zip(series, exact)],
+               [mills_series_bound(x, args.order) for x in args.x]]
+    return _table_blocks(columns, ["x", "series", "survival", "abs_error", "bound"],
                          args.format, args.precision)
 
 
@@ -348,13 +353,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[str]:
         raise PowexError(f"reps must be an integer, got {reps!r}")
     nc = norming_constants(args.n, args.t)
     values = simulate_block_maxima(nc, int(reps), args.seed).values
-    if args.format == "json":
-        # the text of json.dumps([{"value": v}, ...], indent=2), written
-        # directly: the values are finite, so each is its repr
-        return _json_blocks(len(values), lambda i, j: ",\n".join(
-            f'  {{\n    "value": {v!r}\n  }}' for v in values[i:j].tolist()))
-    return _csv_blocks("value", len(values), lambda i, j: "".join(
-        format_number(v, args.precision) + "\n" for v in values[i:j].tolist()))
+    return _table_blocks([values], ["value"], args.format, args.precision)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:

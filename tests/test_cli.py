@@ -27,7 +27,7 @@ from powex import (
 )
 from powex.cli import (
     _merge_negative_args,
-    emit_table,
+    _table_blocks,
     format_number,
     parse_and_dispatch,
     parse_grid,
@@ -48,6 +48,10 @@ def run_cli(argv):
 # row counts on either side of the output block edges
 B = cli.BLOCK_ROWS
 BLOCK_EDGES = [B - 1, B, B + 1, 2 * B + 1]
+
+
+def table_text(columns, schema, format="csv", precision=12):
+    return "".join(_table_blocks(columns, schema, format, precision))
 
 
 class TestFormatNumber:
@@ -149,34 +153,60 @@ class TestGridParsing:
         assert _merge_negative_args(["--flag"]) == ["--flag"]
 
 
-class TestEmitTable:
+class TestTableBlocks:
     def test_csv(self):
-        assert emit_table([[0.0, 0.5]], ["x", "p"]) == "x,p\n0,0.5\n"
+        assert table_text([[0.0], [0.5]], ["x", "p"]) == "x,p\n0,0.5\n"
 
-    def test_empty_rows(self):
-        assert emit_table([], ["x", "p"]) == "x,p\n"
-        assert emit_table([], ["x", "p"], format="json") == "[]\n"
+    def test_empty_table(self):
+        assert table_text([[], []], ["x", "p"]) == "x,p\n"
+        assert table_text([[], []], ["x", "p"], "json") == "[]\n"
 
     @pytest.mark.parametrize("count", [1] + BLOCK_EDGES)
     def test_blocks_join_to_the_whole_text(self, count):
-        rows = [[i / 7, math.exp(-i / 100)] for i in range(count)]
-        assert emit_table(rows, ["x", "p"]) == "x,p\n" + "".join(
-            f"{format_number(x, 12)},{format_number(p, 12)}\n" for x, p in rows)
-        assert emit_table(rows, ["x", "p"], format="json") == json.dumps(
-            [{"x": x, "p": p} for x, p in rows], indent=2) + "\n"
+        xs = [i / 7 for i in range(count)]
+        ps = [math.exp(-i / 100) for i in range(count)]
+        assert table_text([xs, ps], ["x", "p"]) == "x,p\n" + "".join(
+            f"{format_number(x, 12)},{format_number(p, 12)}\n" for x, p in zip(xs, ps))
+        assert table_text([xs, ps], ["x", "p"], "json") == json.dumps(
+            [{"x": x, "p": p} for x, p in zip(xs, ps)], indent=2) + "\n"
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("count", BLOCK_EDGES)
+    def test_array_column_is_its_list(self, format, count):
+        # an array, its tolist() and a list of its numpy scalars print alike
+        values = np.linspace(-3.0, 5.0, count) ** 3
+        want = table_text([values.tolist(), values.tolist()], ["a", "b"], format)
+        assert table_text([values, list(values)], ["a", "b"], format) == want
+        assert table_text([values], ["a"], format) == table_text([values.tolist()], ["a"], format)
+
+    @pytest.mark.parametrize("column", [list, np.array])
+    def test_non_finite_values(self, column):
+        values = [math.nan, math.inf, -math.inf, 0.5, -0.0, 1e300, 5e-324]
+        assert table_text([column(values)], ["v"], "json") == json.dumps(
+            [{"v": v} for v in values], indent=2) + "\n"
+        assert table_text([column(values)], ["v"]) == (
+            "v\nnan\ninf\n-inf\n0.5\n0\n1e+300\n4.94065645841e-324\n")
 
     def test_json_full_precision(self):
-        text = emit_table([[0.1, 0.39881305239127035]], ["x", "v"], format="json")
+        text = table_text([[0.1], [0.39881305239127035]], ["x", "v"], "json")
         data = json.loads(text)
         assert data == [{"x": 0.1, "v": 0.39881305239127035}]
 
-    def test_arity_mismatch(self):
-        with pytest.raises(InternalError):
-            emit_table([[1.0]], ["x", "p"])
+    @pytest.mark.parametrize("columns,schema", [
+        ([[1.0], [1.0, 2.0]], ["x", "p"]),  # unequal column lengths
+        ([[1.0]], ["x", "p"]),  # a name without a column
+        ([[1.0], [2.0]], ["x"]),  # a column without a name
+        ([[1.0], [2.0]], ["x", "x"]),  # JSON would lose one of them
+    ])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_mismatched_schema(self, columns, schema, format):
+        # raised by the call itself, before the first block is asked for
+        with pytest.raises(InternalError, match="do not match schema"):
+            _table_blocks(columns, schema, format, 12)
 
     def test_unknown_format(self):
-        with pytest.raises(InternalError):
-            emit_table([[1.0]], ["x"], format="xml")
+        with pytest.raises(InternalError, match="unknown table format 'xml'"):
+            _table_blocks([[1.0]], ["x"], "xml", 12)
 
 
 class TestNormingVerb:
@@ -249,6 +279,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,what", [
         (["table", "--n", "1e6", "--t", "1", "--x", "0", "--orders", "foo"], "unknown order 'foo'"),
+        # JSON printed one "limit" key, CSV two columns
+        (["table", "--n", "1000", "--t", "1", "--x", "0", "--orders", "limit,limit",
+          "--format", "json"], "repeated order 'limit'"),
         (["norming", "--n", "1e6", "--precision", "abc"], "invalid int value: 'abc'"),
         (["table", "--n", "1e6", "--t", "1", "--x", "1:2"], "grid must be VALUE or START:STOP:STEP"),
         (["rates", "--t", "1", "--x", "0", "--n-grid", "1e3:1e6"],
@@ -322,6 +355,19 @@ class TestTableVerb:
         g = transformed_quantile(norming_constants(10.0, 0.5), x).g
         want = float(oracles.hp_exact_cdf_at_g(10.0, g))
         assert abs(float(out.split(",")[-1]) - want) < 5e-12 * want
+
+    def test_json_is_the_text_of_json_dumps(self):
+        # 1e4 rows: two full blocks and a part one, written column by column
+        grid = "-1:8.999:0.001"
+        code, out, err = run_cli(["table", "--n", "1e6", "--t", "1", f"--x={grid}",
+                                  "--format", "json"])
+        assert (code, err) == (0, "")
+        from powex import ApproxOrder, cdf_approx
+        nc = norming_constants(1e6, 1.0)
+        records = [{"x": x, **{o.value: cdf_approx(nc, x, o).value for o in ApproxOrder}}
+                   for x in parse_grid(grid)]
+        assert len(records) == 10_000
+        assert out == json.dumps(records, indent=2) + "\n"
 
     def test_out_of_support_x(self):
         code, _, err = run_cli(["table", "--n", "1000", "--t", "2", "--x=-20"])
