@@ -79,7 +79,8 @@ def _table_blocks(columns: Sequence[Sequence[float]], schema: Sequence[str],
     """The text of a table, ``BLOCK_ROWS`` rows at a time, from one list or
     float array per ``schema`` name. CSV: a header line, then one line per
     row, values via ``format_number``. JSON: ``json.dumps(records, indent=2)``
-    and a newline, where record i maps each name to row i of its column."""
+    and a newline, record i mapping each name to row i of its column, each
+    value (a bool or int too) spelled by ``json.dumps``."""
     # checked before the generator starts, so that an error comes before
     # the first block is asked for
     schema = list(schema)
@@ -95,29 +96,27 @@ def _table_blocks(columns: Sequence[Sequence[float]], schema: Sequence[str],
     elif format == "json":
         head, sep, tail = ("[\n", ",\n", "\n]\n") if count else ("[]\n", "", "")
         row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in schema) + "\n  }"
-        # json.dumps's spelling of each float; repr alone is the fast path when all are finite
-        spell = lambda values: (list(map(float.__repr__, values))
-                                if all(map(math.isfinite, values))
-                                else json.dumps(values)[1:-1].split(", "))
+        spell = lambda values: json.dumps(values)[1:-1].split(", ")
     else:
         raise InternalError(f"unknown table format {format!r}")
-    # A block is sep.join(row % values) over its rows, built as one join: after
-    # value j comes piece j + 1, after a row's last the row's end, sep and start.
+    # A block is its rows, the template's pieces with the values between,
+    # joined by sep. It is one join (a % per row is slower on simulate's one
+    # column) of parts in row order: row r's value j, then the text up to the
+    # next value, which after a row's last is the row's end, sep and start.
     pieces = row.split("%s")
-    glue = pieces[1:-1] + [pieces[-1] + sep + pieces[0]]
-    width = 2 * len(columns)
+    between = pieces[1:-1] + [pieces[-1] + sep + pieces[0]]
 
     def blocks() -> Iterator[str]:
         yield head
         for i in range(0, count, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, count - i)
-            parts = [""] * (width * rows)
+            rows, k = min(BLOCK_ROWS, count - i), len(columns)
+            parts = [""] * (2 * k * rows)
             for j, column in enumerate(columns):
                 chunk = column[i:i + rows]
                 # an array slice becomes Python floats, without importing numpy here
-                parts[2 * j::width] = spell(chunk.tolist() if hasattr(chunk, "tolist") else chunk)
-                parts[2 * j + 1::width] = [glue[j]] * rows
-            parts[-1] = pieces[-1]
+                parts[2 * j::2 * k] = spell(chunk.tolist() if hasattr(chunk, "tolist") else chunk)
+                parts[2 * j + 1::2 * k] = [between[j]] * rows
+            parts[-1] = pieces[-1]  # the block's last row: no sep, no next row
             yield (sep if i else "") + pieces[0] + "".join(parts)
         yield tail
 

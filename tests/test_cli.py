@@ -187,6 +187,15 @@ class TestTableBlocks:
         assert table_text([column(values)], ["v"]) == (
             "v\nnan\ninf\n-inf\n0.5\n0\n1e+300\n4.94065645841e-324\n")
 
+    @pytest.mark.parametrize("count", [1] + BLOCK_EDGES)
+    def test_bool_and_int_columns(self, count):
+        # a flag or count column beside a float one, in json.dumps's spelling
+        flags = [i % 3 == 0 for i in range(count)]
+        counts = [i * 7 for i in range(count)]
+        xs = [i / 3 for i in range(count)]
+        assert table_text([xs, flags, counts], ["x", "f", "c"], "json") == json.dumps(
+            [{"x": x, "f": f, "c": c} for x, f, c in zip(xs, flags, counts)], indent=2) + "\n"
+
     def test_json_full_precision(self):
         text = table_text([[0.1], [0.39881305239127035]], ["x", "v"], "json")
         data = json.loads(text)
