@@ -8,14 +8,15 @@ monotone in w. So each replicate takes the maximum of its n raw words, and
 only that maximum becomes a double and goes through the inverse normal CDF,
 Phi^{-1}(max U) = max Phi^{-1}(U): one conversion and one inverse-normal
 call per replicate rather than one per draw, with the bits of transforming
-every uniform. The sample is generated in chunks of replicates. Philox is
-counter-based, so each chunk jumps straight to its own position in the
-stream and fills its slice of the output in place; chunks run on up to
-min(usable CPUs, chunks) threads (numpy and scipy release the GIL), each
-chunk's words about 1 MB, small enough to stay in a core's L2 cache. A
-fixed (n, t, reps, seed) reproduces byte-identical samples for any chunk
-size and any thread count. Simulation targets moderate n; the exact law
-covers huge n.
+every uniform. The sample is generated in chunks of replicates, each
+chunk's words about 1 MB, small enough to stay in a core's L2 cache, on up
+to min(usable CPUs, chunks) threads (numpy and scipy release the GIL).
+Each thread takes one contiguous share of the replicates, shares differing
+by at most one replicate. Philox is counter-based, so a thread's generator
+jumps once, to the first word of its share, and then fills the share's
+chunks in stream order, in place. A fixed (n, t, reps, seed) reproduces
+byte-identical samples for any chunk size and any thread count.
+Simulation targets moderate n; the exact law covers huge n.
 
 A sample is sorted at most once, on its first KS check, however many
 checks run on it: ``SimSample.sorted_values`` is computed on first use and
@@ -75,9 +76,9 @@ MAX_REPS = 10 ** 7
 # row max reads them n times; each thread keeps one (k,) uint64 buffer for
 # the row maxima. An n above it is one replicate per chunk, whose words are
 # drawn and reduced _CHUNK_TARGET_DRAWS at a time, so no chunk holds more
-# than about 1 MB of words. A chunk is addressed by its Philox position, so
-# chunk size and thread count are memory and speed knobs only: values are
-# identical for any of them.
+# than about 1 MB of words. A replicate's words are its place in the Philox
+# stream, so chunk size and thread count are memory and speed knobs only:
+# values are identical for any of them.
 _CHUNK_TARGET_DRAWS = 2 ** 17
 
 # Knot spacing of ks_check; D is the same for any stride. At 32 the
@@ -146,9 +147,11 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
     |M_n|^t overflows, or falls below the least normal float, is a
     DomainError. The returned values are read-only.
 
-    Worker w of ``workers`` threads fills chunks w, w + workers, ..., the
-    calling thread being worker 0. A failure or interrupt stops every worker
-    at its next chunk, and the first exception is re-raised as the same object.
+    Worker w of ``workers`` threads, the calling thread being worker 0,
+    fills replicates [reps*w // workers, reps*(w+1) // workers) chunk by
+    chunk with one Philox generator that jumps once, to the share's first
+    word. A failure or interrupt stops every worker at its next chunk, and
+    the first exception is re-raised as the same object.
     """
     n_float = nc.n
     if n_float != int(n_float):
@@ -176,11 +179,15 @@ def simulate_block_maxima(nc: NormingConstants, reps: int, seed: int) -> SimSamp
 
     def work(w: int) -> None:
         try:
-            buffer = np.empty(min(chunk, reps), np.uint64)
-            for pos in range(w * chunk, reps, workers * chunk):
+            lo, hi = reps * w // workers, reps * (w + 1) // workers
+            buffer = np.empty(min(chunk, hi - lo), np.uint64)
+            bit_generator = np.random.Philox(key=seed)
+            bit_generator.advance(lo * n // 4)  # one counter step yields four words
+            bit_generator.random_raw(lo * n % 4, output=False)  # the words before draw lo*n
+            for pos in range(lo, hi, chunk):
                 if halt.is_set():
                     return
-                _fill_chunk(out[pos:pos + chunk], buffer, pos * n, seed, nc)
+                _fill_chunk(out[pos:min(pos + chunk, hi)], buffer, bit_generator, nc)
         except BaseException as exc:
             errors.append(exc)
             halt.set()
@@ -221,15 +228,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, first: int, seed: int,
+def _fill_chunk(dst: np.ndarray, buffer: np.ndarray, bit_generator: np.random.Philox,
                 nc: NormingConstants) -> None:
-    """Fill ``dst`` with the replicates whose uniforms start at draw ``first``
-    of the seed's Philox stream, in place, using ``buffer`` for the row max
-    of the raw words."""
+    """Fill ``dst`` in place with the next ``len(dst)`` replicates, n words
+    each, of ``bit_generator``'s stream, leaving it where the worker's next
+    chunk starts; ``buffer`` holds the row max of the raw words."""
     k, n = len(dst), int(nc.n)
-    bit_generator = np.random.Philox(key=seed)
-    bit_generator.advance(first // 4)  # one counter step yields four words
-    bit_generator.random_raw(first % 4, output=False)  # the words before ``first``
     top = buffer[:k]
     if n > _CHUNK_TARGET_DRAWS:  # one replicate (k = 1): its words a chunk at a time
         top[0] = max(bit_generator.random_raw(min(_CHUNK_TARGET_DRAWS, n - done)).max()

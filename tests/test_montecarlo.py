@@ -25,6 +25,11 @@ from powex import (
 from powex.exact_law import exact_cdf_values
 
 
+def _offset(view: np.ndarray) -> int:
+    """Index of ``view``'s first element in the array it is a slice of."""
+    return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
+
+
 class TestSimulate:
     def test_frozen_first_draws(self):
         nc = norming_constants(100.0, 2.0)
@@ -77,8 +82,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize("n,reps,chunk_draws,every_offset_mod_4", [
-        (7, 40, 21, True),  # odd chunk lengths: chunks start at every first % 4
-        (13, 40, 50, True),
+        # odd n: at two, three and five workers some worker starts at each
+        # nonzero lo*n % 4, and at five the starts cover all four residues
+        (7, 45, 21, True),
+        (13, 45, 50, True),
         (16, 30, 100, False),  # column-loop row max
         (17, 30, 100, False),
         (32, 30, 100, False),  # the largest n that uses the column loop
@@ -88,16 +95,16 @@ class TestSimulate:
     def test_bytes_do_not_depend_on_worker_count(
             self, monkeypatch, workers, n, reps, chunk_draws, every_offset_mod_4):
         # the worker count is forced past the host's cores and threads switch
-        # often; each chunk must be filled exactly once, by its own worker,
-        # and the bytes must equal one pass over the whole stream
+        # often; each replicate must be filled exactly once, by its own
+        # worker, and the bytes must equal one pass over the whole stream
         monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", chunk_draws)
         fill_chunk = powex.montecarlo._fill_chunk
         filled = []
 
-        def recording_fill_chunk(dst, buffer, first, seed, nc):
-            filled.append((first, len(dst), threading.current_thread()))
-            fill_chunk(dst, buffer, first, seed, nc)
+        def recording_fill_chunk(dst, buffer, bit_generator, nc):
+            filled.append((_offset(dst), len(dst), threading.current_thread()))
+            fill_chunk(dst, buffer, bit_generator, nc)
 
         monkeypatch.setattr(powex.montecarlo, "_fill_chunk", recording_fill_chunk)
         t, seed = 2.0, 2 ** 63 + 5
@@ -112,12 +119,51 @@ class TestSimulate:
         z = ndtri(rng.random((reps, n)))
         want = (np.abs(z.max(axis=1)) ** t - nc.d) / nc.c
         assert sample.values.tobytes() == want.tobytes()
-        firsts = sorted(first for first, _, _ in filled)
-        assert len(set(firsts)) == len(firsts)
+        positions = [pos for pos, _, _ in filled]
+        assert len(set(positions)) == len(positions)
         assert sum(k for _, k, _ in filled) == reps
-        assert len({thread for _, _, thread in filled}) == min(workers, reps)
-        if every_offset_mod_4:
-            assert {first % 4 for first in firsts} == {0, 1, 2, 3}
+        threads = {thread for _, _, thread in filled}
+        assert len(threads) == min(workers, reps)
+        if every_offset_mod_4 and workers > 1:
+            # lo*n % 4 of the draw at which each worker's generator starts
+            residues = {min(pos for pos, _, th in filled if th is thread) * n % 4
+                        for thread in threads}
+            assert residues - {0} and (workers < 4 or residues == {0, 1, 2, 3})
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_one_generator_and_one_contiguous_share_per_worker(self, monkeypatch, workers):
+        # 23 replicates in chunks of 2: each worker builds one Philox, fills
+        # one run of consecutive replicates chunk after chunk, and the runs
+        # differ in length by at most one and tile the sample
+        monkeypatch.setattr(powex.montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(powex.montecarlo, "_CHUNK_TARGET_DRAWS", 20)
+        philox = np.random.Philox
+        built, filled = [], []
+
+        def recording_philox(*args, **kwargs):
+            built.append(threading.current_thread())
+            return philox(*args, **kwargs)
+
+        fill_chunk = powex.montecarlo._fill_chunk
+
+        def recording_fill_chunk(dst, *args):
+            filled.append((_offset(dst), len(dst), threading.current_thread()))
+            fill_chunk(dst, *args)
+
+        monkeypatch.setattr(np.random, "Philox", recording_philox)
+        monkeypatch.setattr(powex.montecarlo, "_fill_chunk", recording_fill_chunk)
+        reps = 23
+        simulate_block_maxima(norming_constants(10.0, 1.0), reps, 5)
+        threads = {thread for _, _, thread in filled}
+        assert len(threads) == workers
+        assert len(built) == len(set(built)) and set(built) == threads
+        shares = []
+        for thread in threads:
+            slices = [(pos, k) for pos, k, th in filled if th is thread]
+            assert all(a + k == b for (a, k), (b, _) in zip(slices, slices[1:]))
+            shares.append(range(slices[0][0], slices[-1][0] + slices[-1][1]))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        assert sorted(i for share in shares for i in share) == list(range(reps))
 
     @pytest.mark.parametrize("error", [RuntimeError("ndtri failed"), KeyboardInterrupt()])
     def test_failure_stops_every_worker(self, monkeypatch, error):
