@@ -129,8 +129,8 @@ def check_order_improvement():
         nc = norming_constants(1e6, t)
         for target in ("cdf", "pdf"):
             approx = cdf_approx if target == "cdf" else pdf_approx
-            sups = [max(abs(approx(nc, x, order).value
-                            - approx(nc, x, ApproxOrder.EXACT).value) for x in xs)
+            exact = [approx(nc, x, ApproxOrder.EXACT).value for x in xs]
+            sups = [max(abs(approx(nc, x, order).value - e) for x, e in zip(xs, exact))
                     for order in orders]
             for a, b in zip(sups, sups[1:]):
                 worst_ratio = max(worst_ratio, b / a)

@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal
 from typing import Iterable, Iterator, Sequence
 
 from .convergence_lab import MAX_GRID_POINTS, Scaling, default_n_grid, error_curve, rate_fit
@@ -49,13 +48,11 @@ def format_number(value: float, precision: int) -> str:
 
     Scientific notation exactly when |v| >= 1e6 or 0 < |v| < 1e-4, plain
     decimal otherwise; trailing zeros trimmed; integral values in the plain
-    range print as integers.
+    range print as integers. nan, inf and -inf print as ``str`` spells them.
     """
     v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
+    if not math.isfinite(v):
+        return str(v)
     if v == 0.0:
         return "0"
     av = abs(v)
@@ -67,10 +64,11 @@ def format_number(value: float, precision: int) -> str:
     if v == int(v):
         return str(int(v))
     s = f"{v:.{precision}g}"
-    if "e" in s or "E" in s:
+    if "e" in s:
         # %g switches to scientific once the exponent reaches the precision;
-        # the contract keeps plain notation everywhere below 1e6
-        s = format(Decimal(s), "f")
+        # the contract keeps plain notation everywhere below 1e6. The rounded
+        # value is then an integer of at most 7 digits, so exact as a float
+        s = str(int(float(s)))
     return s
 
 
@@ -347,11 +345,8 @@ def _cmd_mills(args: argparse.Namespace) -> Iterator[str]:
 def _cmd_simulate(args: argparse.Namespace) -> Iterator[str]:
     from .montecarlo import simulate_block_maxima
 
-    reps = args.reps
-    if not math.isfinite(reps) or reps != int(reps):
-        raise PowexError(f"reps must be an integer, got {reps!r}")
     nc = norming_constants(args.n, args.t)
-    values = simulate_block_maxima(nc, int(reps), args.seed).values
+    values = simulate_block_maxima(nc, args.reps, args.seed).values
     return _table_blocks([values], ["value"], args.format, args.precision)
 
 

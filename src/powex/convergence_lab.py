@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import powex  # numpy and scipy load at the first powex.exact_law call
 from .errors import DomainError, InsufficientDataError, ResourceError
-from .expansions import ApproxOrder, cdf_approx, coefficients, pdf_approx
+from .expansions import ApproxOrder, _coefficients, cdf_approx, pdf_approx
 from .norming import NormingConstants, _support_point, norming_constants, solve_b
-from .special_functions import _tuple_new, gumbel_cdf, gumbel_pdf
+from .special_functions import _gumbel, _require_finite, _tuple_new
 
 # |residual| at or below this is double-precision CDF-differencing noise
 NOISE_FLOOR = 1e-13
@@ -108,26 +108,27 @@ def _grid_constants(t: float, x: float, n_grid: Sequence[float]) -> list[Norming
 
 def _scaled_errors(ncs: list[NormingConstants], x: float,
                    target: str) -> tuple[list[float], float, float]:
-    """Scaled errors along the grid, with the first and second coefficient.
+    """Scaled errors along the grid, with the first and second coefficient,
+    at an x its caller checked finite.
 
-    Lambda, Lambda' and the coefficients depend on (t, x) only, so the whole
-    grid shares one evaluation of them. Where Lambda > 1/2 (x > -ln ln 2)
-    the cdf gap F - Lambda is Lambda*expm1(log F - log Lambda), which keeps
+    e^{-x}, Lambda, Lambda' and the coefficients depend on (t, x) only, so
+    the whole grid shares one ``_gumbel`` and one coefficient pass. Where
+    Lambda > 1/2 (x > -ln ln 2) the cdf gap F - Lambda is
+    Lambda*expm1(log F - log Lambda), log Lambda being -e^{-x}, which keeps
     its relative accuracy where both are near 1; elsewhere the difference.
     """
-    co = coefficients(ncs[0].t, x)
-    lam_pdf = gumbel_pdf(x)
+    emx, lam, lam_pdf = _gumbel(x)
+    co = _coefficients(ncs[0].t, x, emx)
     if lam_pdf == 0.0:
         raise DomainError(f"the Gumbel density underflows to 0 at x={x}; "
                           "the scaled error is undefined there")
     if target == "cdf":
-        lam = gumbel_cdf(x)
         cdfs = [powex.exact_law.exact_cdf(nc, x) for nc in ncs]
-        if lam.value > 0.5:
+        if lam > 0.5:
             # F - Lambda without cancellation, where both are near 1
-            gaps = [lam.value * math.expm1(p.log_value - lam.log_value) for p in cdfs]
+            gaps = [lam * math.expm1(p.log_value - -emx) for p in cdfs]
         else:
-            gaps = [p.value - lam.value for p in cdfs]
+            gaps = [p.value - lam for p in cdfs]
         errs = [nc.error_scale * gap / lam_pdf for nc, gap in zip(ncs, gaps)]
         return errs, co.k1, co.k2
     errs = [nc.error_scale * (powex.exact_law.exact_pdf(nc, x) / lam_pdf - 1.0) for nc in ncs]
@@ -140,8 +141,8 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
 
     ``raw`` records approx(order) - exact with raw (unclamped) approximation
     values; the scaled variants are order-independent and always reference
-    the full printed expansion. Every grid point must be >= 100 and keep x
-    inside the support.
+    the full printed expansion. x must be finite, and every grid point
+    must be >= 100 and keep x inside the support.
     """
     if target not in ("cdf", "pdf"):
         raise DomainError(f"target must be 'cdf' or 'pdf', got {target!r}")
@@ -149,7 +150,7 @@ def error_curve(t: float, x: float, n_grid: Sequence[float], order: ApproxOrder,
     scaling = scaling if type(scaling) is Scaling else Scaling(scaling)
     if scaling is Scaling.HALL_SCALED and target != "cdf":
         raise DomainError("hall_scaled applies to the distribution only")
-    x = float(x)
+    x = _require_finite(x)
     ncs = _grid_constants(t, x, n_grid)
     if scaling is Scaling.RAW:
         if target == "cdf":
@@ -208,7 +209,7 @@ def hall_limit_check(t: float, x: float, n_grid: Sequence[float]) -> HallCheck:
     zero) and the final |gap| to satisfy 1.5*|k2|/b^2 + 10/b^4, the slack
     covering the unprinted b^-4 coefficient.
     """
-    x = float(x)
+    x = _require_finite(x)
     ncs = _grid_constants(t, x, n_grid)
     errs, k1, k2 = _scaled_errors(ncs, x, "cdf")
     rows = tuple([_tuple_new(HallRow, (nc.n, err, k1, err - k1)) for nc, err in zip(ncs, errs)])

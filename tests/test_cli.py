@@ -7,9 +7,11 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,30 @@ class TestFormatNumber:
         assert format_number(999999.4, 8) == "999999.4"
         assert format_number(1e-4, 8) == "0.0001"
         assert format_number(9.999e-5, 3) == "1e-04"
+
+    def test_plain_range_matches_a_decimal_reference(self):
+        # Where %g goes scientific below 1e6, the plain spelling is the
+        # rounded value written out in full; Decimal spells it exactly
+        def reference(v, p):
+            return format(Decimal(f"{v:.{p}g}"), "f")
+
+        rng = random.Random(23)
+        values = [999999.5, 999999.95, 99999.95, 9999.5]
+        for decade in range(-4, 6):
+            values += [rng.uniform(1, 10) * 10.0 ** decade for _ in range(40)]
+        values = [v for v in values if v != int(v)]  # integral values print as integers
+        for v in values + [-v for v in values]:
+            for p in range(1, 8):
+                assert format_number(v, p) == reference(v, p), (v, p)
+
+    @pytest.mark.parametrize("value,want", [
+        (math.nan, ["nan"] * 3), (math.inf, ["inf"] * 3), (-math.inf, ["-inf"] * 3),
+        (0.0, ["0"] * 3), (-0.0, ["0"] * 3),
+        (5e-324, ["5e-324", "4.94065645841e-324", "4.9406564584124654e-324"]),
+        (-1e-320, ["-1e-320", "-9.99988867183e-321", "-9.9998886718268301e-321"]),
+    ])
+    def test_special_values(self, value, want):
+        assert [format_number(value, p) for p in (1, 12, 17)] == want
 
 
 class TestGridParsing:
@@ -476,6 +502,10 @@ class TestRatesVerb:
     def test_bad_grid(self):
         code, _, _ = run_cli(["rates", "--t", "1", "--x", "0", "--n-grid", "10,20"])
         assert code == 1  # grid points below 100
+
+    def test_non_finite_x(self):
+        assert run_cli(["rates", "--t", "1", "--x", "nan"]) == (
+            1, "", "error: x must be finite, got nan\n")
 
 
 class TestMillsVerb:

@@ -104,6 +104,15 @@ class TestErrorCurve:
         assert "n=100" in str(exc.value)
         assert exc.value.x_min == pytest.approx(-3.213387667760991, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_refused_before_the_grid(self, x):
+        # an x that no grid point can hold is not blamed on the first one
+        for check in (lambda: error_curve(1.0, x, [1e3, 1e6], ApproxOrder.THIRD),
+                      lambda: hall_limit_check(1.0, x, [1e3, 1e6])):
+            with pytest.raises(DomainError) as exc:
+                check()
+            assert str(exc.value) == f"x must be finite, got {x!r}"
+
     def test_target_and_scaling_validation(self):
         with pytest.raises(DomainError):
             error_curve(1.0, 0.0, [1e3], ApproxOrder.THIRD, target="quantile")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,39 @@ class TestHandBuiltPowerIndex:
         with pytest.raises(DomainError) as exc:
             coefficients(t, 0.5)
         assert str(exc.value) == message
+
+
+class TestNonFloatPowerIndex:
+    """An int or numpy power index is taken as the float of the same value:
+    every record has the bits it has for that float, and int 2 takes the
+    t = 2 branch."""
+
+    @staticmethod
+    def bits(record):
+        return [v.hex() if type(v) is float else v for v in record]
+
+    @pytest.mark.parametrize("t", [1, 2, np.float64(0.5), np.int64(3)])
+    def test_same_bits_as_the_float(self, t):
+        for n in (1e3, 1e6):
+            want = norming_constants(n, float(t))
+            nc = norming_constants(n, t)
+            assert type(nc.t) is float and self.bits(nc) == self.bits(want)
+            # a hand-built record keeps t as given; the kernels take its float
+            built = NormingConstants(want.n, t, want.b, want.c, want.d)
+            for x in (-0.5, 0.0, 1.25):
+                assert self.bits(coefficients(t, x)) == self.bits(coefficients(float(t), x))
+                assert self.bits(exact_cdf(nc, x)) == self.bits(exact_cdf(want, x))
+                for order in ApproxOrder:
+                    for approx in (cdf_approx, pdf_approx):
+                        expected = self.bits(approx(want, x, order))
+                        assert self.bits(approx(nc, x, order)) == expected
+                        assert self.bits(approx(built, x, order)) == expected
+
+    def test_int_two_takes_the_t2_branch(self):
+        nc = norming_constants(1e6, 2)
+        u = nc.b * nc.b
+        assert (nc.c, nc.d) == (2.0 * (1.0 - 1.0 / u), u - 2.0 / u)
+        assert coefficients(2, 0.0).k1 == -3.5  # -theta1 = -(7/2 + 3x + x^2)
 
 
 class TestCdfApprox:

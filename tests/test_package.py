@@ -61,6 +61,18 @@ def test_pure_math_verbs_load_neither_numpy_nor_scipy(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["norming", "--n", "1000", "--t", "2"],
+    ["table", "--n", "1000", "--t", "2", "--x=0:2:0.5", "--orders", "limit,third"],
+    ["simulate", "--n", "100", "--t", "2", "--reps", "2000", "--seed", "42"],
+])
+def test_verbs_load_no_decimal(argv):
+    # format_number spells every value with str and float formatting
+    modules = loaded_modules(["-c", CLI_PROBE, *argv])
+    assert "powex.cli" in modules
+    assert {"decimal", "_decimal"} & modules == set()
+
+
+@pytest.mark.parametrize("argv", [
     ["mills", "--x", "5"],
     ["table", "--n", "1000", "--t", "2", "--x", "0", "--orders", "exact"],
 ])
