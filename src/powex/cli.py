@@ -156,7 +156,9 @@ def parse_grid(text: str) -> list[float]:
     if stop < start:
         raise argparse.ArgumentTypeError(f"grid stop {stop} below start {start}")
     steps = (stop - start) / step + 0.5
-    if not steps < MAX_GRID_POINTS:  # inf and nan too
+    if math.isnan(steps):  # a nan bound or step, or inf - inf
+        raise argparse.ArgumentTypeError(f"grid {text!r} has no defined point count")
+    if not steps < MAX_GRID_POINTS:  # inf too
         raise argparse.ArgumentTypeError(f"grid exceeds the {MAX_GRID_POINTS:.0e} point budget")
     return [start + i * step for i in range(int(steps) + 1)]
 

@@ -52,9 +52,6 @@ ALLOWLIST = {
     ("__init__.py", "__getattr__", 'return importlib.import_module(f"{__name__}.{name}")'):
         "a submodule read as an attribute before it is imported: in Tier-1 the "
         "first test module imports powex.acceptance, and with it every submodule",
-    ("acceptance.py", "check_exact_self_consistency", "continue"):
-        "the pdf <= 1e-8 skip guard: no point of the check's fixed grid is "
-        "that far in a tail",
 }
 
 

@@ -8,18 +8,18 @@ budgets live in the check implementations; nothing is loosened here.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from powex import acceptance
+from powex import acceptance, cli
 from powex.acceptance import (
     CheckResult,
     _check,
@@ -140,20 +140,48 @@ def test_runner_passes_the_body_through(ok, status):
     assert math.isfinite(result.elapsed_s) and result.elapsed_s > 0.0
 
 
-def test_cli_determinism_runs_each_command_twice_and_compares_the_pair(monkeypatch):
-    # the runs share a thread pool; each pair is still compared on its own
+@pytest.fixture(scope="module")
+def in_process_triples():
+    # stand-ins for the cold runs, so that these tests start no child:
+    # unchanged code gives the same triple cold and in process
+    return {cmd: acceptance._run_in_process(cmd) for cmd in acceptance.DETERMINISM_COMMANDS}
+
+
+def fake_cold_runs(monkeypatch, triples):
     calls = collections.Counter()
-    lock = threading.Lock()
-    flaky = acceptance.DETERMINISM_COMMANDS[3]
 
-    def fake_run(cmd):
-        with lock:
-            calls[cmd] += 1
-            k = calls[cmd]
-        return 0, " ".join(cmd).encode() + (str(k).encode() if cmd == flaky else b""), b""
+    def run(cmd):
+        calls[cmd] += 1
+        return triples[cmd]
 
-    monkeypatch.setattr(acceptance, "_run_cli", fake_run)
+    monkeypatch.setattr(acceptance, "_run_cli", run)
+    return calls
+
+
+def test_cli_determinism_runs_each_command_once_cold(monkeypatch, in_process_triples):
+    calls = fake_cold_runs(monkeypatch, in_process_triples)
     result = acceptance.check_cli_determinism()
-    assert calls == {cmd: 2 for cmd in acceptance.DETERMINISM_COMMANDS}
+    assert calls == {cmd: 1 for cmd in acceptance.DETERMINISM_COMMANDS}
+    assert (result.status, result.measured) == ("PASS", 0.0)
+    assert result.detail == "8 commands run cold and in process"
+
+
+def test_cli_determinism_fails_on_other_bytes_in_process(monkeypatch, in_process_triples):
+    fake_cold_runs(monkeypatch, in_process_triples)
+    mills = cli._cmd_mills
+    monkeypatch.setattr(cli, "_cmd_mills", lambda args: itertools.chain(mills(args), ["#\n"]))
+    result = acceptance.check_cli_determinism()
     assert result.status == "FAIL" and result.measured == 1.0
-    assert result.detail.endswith("; mismatched: " + " ".join(flaky))
+    assert result.detail == ("8 commands run cold and in process; "
+                             "mismatched: mills --x 5:20:5 --order 3")
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["exit_code", "stderr"])
+def test_cli_determinism_fails_on_one_other_field_cold(monkeypatch, in_process_triples, field):
+    cmd = acceptance.DETERMINISM_COMMANDS[0]
+    triple = list(in_process_triples[cmd])
+    triple[field] = 1 if field == 0 else b"error: other\n"
+    fake_cold_runs(monkeypatch, {**in_process_triples, cmd: tuple(triple)})
+    result = acceptance.check_cli_determinism()
+    assert result.status == "FAIL" and result.measured == 1.0
+    assert result.detail.endswith("; mismatched: " + " ".join(cmd))

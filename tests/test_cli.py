@@ -2,8 +2,6 @@
 exit codes, and byte-stable output."""
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -41,10 +39,8 @@ import argparse
 
 
 def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = parse_and_dispatch(argv)
-    return code, out.getvalue(), err.getvalue()
+    code, out, err = acceptance._run_in_process(argv)
+    return code, out.decode(), err.decode()
 
 
 # row counts on either side of the output block edges
@@ -321,6 +317,11 @@ class TestUsageErrors:
         (["table", "--n", "1e6", "--t", "1", "--x", "1:2"], "grid must be VALUE or START:STOP:STEP"),
         (["rates", "--t", "1", "--x", "0", "--n-grid", "1e3:1e6"],
          "n-grid must be comma list or START:STOP:FACTOR"),
+        # the point count is nan: these were refused as over the point budget
+        (["table", "--n", "1e6", "--t", "1", "--x=nan:1:1"], "grid 'nan:1:1' has no defined"),
+        (["table", "--n", "1e6", "--t", "1", "--x=0:nan:1"], "grid '0:nan:1' has no defined"),
+        (["mills", "--x=0:1:nan"], "grid '0:1:nan' has no defined"),
+        (["table", "--n", "1e6", "--t", "1", "--x=inf:inf:1"], "grid 'inf:inf:1' has no defined"),
     ])
     def test_bad_argument(self, argv, what):
         code, out, err = run_cli(argv)
@@ -568,23 +569,23 @@ class TestSimulateVerb:
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_output_memory_is_one_block(self, tmp_path, monkeypatch, format):
-        # The sample of 2e5 replicates is 1.6 MB and the sampler's two
+        # The sample of 5e4 replicates is 0.4 MB and the sampler's two
         # workers hold about 1.2 MB of words each: the traced peak measured
-        # 4.0 MB in both formats (22 MB as CSV and 29 MB as JSON when the
-        # whole text was built before writing). --out, because a StringIO
-        # stdout would hold the whole text.
+        # 1.8-2.9 MB in both formats (5.6 MB as CSV and 7.4 MB as JSON when
+        # the whole text was built before writing). --out, because a
+        # StringIO stdout would hold the whole text.
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         target = tmp_path / "sample.txt"
         argv = ["simulate", "--n", "10", "--t", "1", "--format", format, "--out", str(target)]
         assert parse_and_dispatch(argv + ["--reps", "10"]) == 0  # imports outside the trace
         tracemalloc.start()
         try:
-            code = parse_and_dispatch(argv + ["--reps", "2e5"])
+            code = parse_and_dispatch(argv + ["--reps", "5e4"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and target.stat().st_size > 3_000_000
-        assert peak < 8 * 200_000 + 4_000_000
+        assert code == 0 and target.stat().st_size > 750_000
+        assert peak < 8 * 50_000 + 4_000_000
 
     def test_non_integer_reps(self):
         code, _, err = run_cli(["simulate", "--n", "100", "--t", "1", "--reps", "2.5"])
