@@ -10,9 +10,12 @@ Everything is evaluated in log-domain: Phi^n at n = 1e12 is meaningless in
 naive arithmetic. This module is the ground-truth oracle for all expansions.
 
 log F_n = n*log(Phi) + log(1 - e^delta) with delta = n*log((1 - Phi)/Phi).
-One log_ndtr per point gives log Phi, and log(1 - Phi) = log(-expm1(log Phi))
-keeps full relative accuracy since Phi >= 1/2. The kernel forms n*log(Phi)
-and patches three sets of points:
+One log Phi per point: scipy's log_ndtr on a scalar, and on an array
+log1p(-ndtr(-g)) in one buffer, which has log_ndtr's bits wherever g >= -1
+(with scipy's log1p; numpy's differs in the last bits) and is faster from
+about 500 points on. log(1 - Phi) = log(-expm1(log Phi)) keeps full
+relative accuracy since Phi >= 1/2. The kernel forms n*log(Phi) and
+patches three sets of points:
 
 - the subnormal tail, where 1 - Phi(g) is below 2.2e-308 (g > 37.5). There
   log Phi = log1p(-(1 - Phi)) is subnormal too and has lost bits, and from
@@ -77,7 +80,7 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import erf, log_ndtr
+from scipy.special import erf, log1p, log_ndtr, ndtr
 
 from .norming import NormingConstants, _support_point, transformed_quantile
 from .special_functions import LOG_2PI, Probability, _tuple_new
@@ -89,10 +92,12 @@ _DEAD_DELTA = -746.0
 _TINY = sys.float_info.min
 
 
-# The kernel's arithmetic: Python floats through math, or numpy arrays
+# The kernel's arithmetic: Python floats through math, or numpy arrays.
+# log_phi takes log Phi(g) on the support g >= 0; log_ndtr takes log(1 - Phi)
 class _ScalarOps:
     exp, expm1, log1p, atanh, erf = math.exp, math.expm1, math.log1p, math.atanh, math.erf
-    log_ndtr, native = log_ndtr, float  # log_ndtr returns numpy scalars
+    # on a float one ufunc call beats two; log_ndtr returns numpy scalars
+    log_phi, log_ndtr, native = log_ndtr, log_ndtr, float
     log = staticmethod(lambda v: math.log(v) if v > 0.0 else -math.inf)
     least = staticmethod(lambda v: v)
     # a staticmethod: a classmethod would build a bound method at every call
@@ -103,6 +108,21 @@ class _ArrayOps:
     exp, expm1, log1p, atanh, log = np.exp, np.expm1, np.log1p, np.arctanh, np.log
     erf, log_ndtr, native = erf, log_ndtr, np.asarray
     least = staticmethod(lambda v: float(v.min(initial=0.0)))  # propagates a NaN
+
+    @staticmethod
+    def log_phi(g):
+        """log Phi(g) as log1p(-ndtr(-g)), every step in one new buffer.
+
+        Bit for bit scipy's log_ndtr(g) wherever g >= -1, NaN included. The
+        buffer comes first, as negating a 0-d array returns a scalar; * -1.0
+        keeps a NaN's sign bit, where np.negative would flip it.
+        """
+        out = np.empty(np.shape(g))
+        np.negative(g, out=out)
+        ndtr(out, out=out)
+        out *= -1.0
+        # scipy's log1p, imported above; numpy's, the class's, differs in the last bits
+        return log1p(out, out=out)
 
     @classmethod
     def patch(cls, out, cond, fix, *args):
@@ -116,7 +136,7 @@ class _ArrayOps:
 
 def _log_cdf(ops, n: float, g):
     """log F_n at transformed quantiles g > 0, in the arithmetic of ``ops``."""
-    log_phi = ops.native(ops.log_ndtr(g))
+    log_phi = ops.native(ops.log_phi(g))
     out = n * log_phi
     # a subnormal 1 - Phi (delta < -1400 there) leaves log Phi without its bits
     out = ops.patch(out, log_phi > -_TINY, _log_cdf_subnormal, n, g)

@@ -184,6 +184,31 @@ class TestKernelOps:
         assert used == self.operations(_ScalarOps)
 
 
+class TestArrayLogPhi:
+    """The array kernel takes log Phi as log1p(-ndtr(-g)) in one buffer: on
+    the support that is scipy's log_ndtr(g) bit for bit, NaN included."""
+
+    @staticmethod
+    def assert_bits(g):
+        got = _ArrayOps.log_phi(g)
+        assert type(got) is np.ndarray and got.shape == np.shape(g)
+        want = np.asarray(log_ndtr(g))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 1e-300), (0.0, 1.0), (1.0, 5.0), (5.0, 10.0), (10.0, 37.5),
+        (37.5, 38.6),  # the subnormal band, down to log Phi = 0
+        (38.6, 1e3),
+    ])
+    def test_bands(self, lo, hi):
+        self.assert_bits(np.random.default_rng(2500).uniform(lo, hi, 100_000))
+
+    @pytest.mark.parametrize("g", [0.0, -0.0, 5e-324, math.inf, math.nan])
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+    def test_special_values(self, g, shape):
+        self.assert_bits(np.full(shape, g))
+
+
 class TestPairTerm:
     """exact_pdf adds the survival term as log1p(e^(b - a)) with a = log Phi^(n-1)
     and b = (n - 1)*log(1 - Phi): the one branch of numpy's logaddexp that
@@ -692,6 +717,53 @@ class TestPdfShortcut:
         for h in (1e-12, 1e-9, 1e-6):
             exact_pdf(nc, x_min + h)
         assert len(calls) == 6
+
+
+class TestLogPhiCalls:
+    """The array kernel takes log Phi from _ArrayOps.log_phi and calls
+    log_ndtr only for log(1 - Phi) on the subnormal tail; the scalar kernel
+    takes log Phi from one log_ndtr per point."""
+
+    @staticmethod
+    def count_calls(monkeypatch, ops, name) -> list:
+        calls = []
+        op = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda g: calls.append(g) or op(g))
+        return calls
+
+    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_law_grid(self, t, n, monkeypatch):
+        nc = norming_constants(n, t)
+        calls = self.count_calls(monkeypatch, _ArrayOps, "log_ndtr")
+        exact_cdf_values(nc, LAW_GRID)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [10.0, 1e6, 1e300])
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_subnormal_points_only(self, t, n, monkeypatch):
+        nc = norming_constants(n, t)
+        g = np.linspace(0.0, 40.0, 4001)  # reaches the subnormal band at 37.5
+        xs = (g ** t - nc.d) / nc.c
+        g = np.maximum(nc.c * xs + nc.d, 0.0) ** (1.0 / t)  # the kernel's own g
+        subnormal = g[log_ndtr(g) > -exact_law._TINY]
+        assert 0 < subnormal.size < g.size and subnormal.min() > 37.5
+        calls = self.count_calls(monkeypatch, _ArrayOps, "log_ndtr")
+        exact_cdf_values(nc, xs)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == (-subnormal).tobytes()
+
+    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("t", LOCK_T)
+    def test_scalar_takes_one_log_ndtr_per_point(self, t, n, monkeypatch):
+        nc = norming_constants(n, t)
+        assert _ScalarOps.log_phi is log_ndtr
+        calls = self.count_calls(monkeypatch, _ScalarOps, "log_phi")
+        tail_calls = self.count_calls(monkeypatch, _ScalarOps, "log_ndtr")
+        xs = on_support(nc, LAW_GRID)
+        for x in xs:
+            exact_cdf(nc, x)
+        assert len(calls) == len(xs) and tail_calls == []
 
 
 class TestHugeN:
