@@ -12,6 +12,8 @@ import contextlib
 import functools
 import io
 import math
+import os
+import site
 import subprocess
 import sys
 import time
@@ -201,10 +203,25 @@ DETERMINISM_COMMANDS: tuple[tuple[str, ...], ...] = (
     ("simulate", "--n", "100", "--t", "2", "--reps", "2000", "--seed", "42"),
 )
 
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _run_cli(cmd: tuple[str, ...]) -> tuple[int, bytes, bytes]:
-    proc = subprocess.run([sys.executable, "-m", "powex", *cmd],
-                          capture_output=True, timeout=120)
+
+def _child_env() -> dict[str, str]:
+    """``os.environ`` with this package's parent directory first on
+    ``PYTHONPATH``, so that a child imports this powex; a site directory,
+    which a child searches anyway after the standard library, is left off."""
+    env = dict(os.environ)
+    if _SOURCE_ROOT not in {*site.getsitepackages(), site.getusersitepackages()}:
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SOURCE_ROOT, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_cli(cmd: tuple[str, ...]) -> tuple[int, bytes, bytes] | None:
+    try:  # a child that times out gives None, which no in-process run equals
+        proc = subprocess.run([sys.executable, "-m", "powex", *cmd], env=_child_env(),
+                              capture_output=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        return None
     return proc.returncode, proc.stdout, proc.stderr
 
 

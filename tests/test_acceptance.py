@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import os
+import shutil
+import site
 import subprocess
 import sys
 import time
@@ -81,16 +83,11 @@ def test_criterion_09_monte_carlo_ks():
 
 def test_criterion_10_cli_determinism_and_verify():
     # verify runs check_cli_determinism as its last check, so one verify run
-    # covers the determinism criterion and the CLI verb together. The child,
-    # and the CLI runs it starts, import this powex whether or not the
-    # caller set PYTHONPATH
-    env = dict(os.environ)
-    src = str(Path(acceptance.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "powex", "verify"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    head, _, tail = proc.stdout.partition("\n[")
+    # covers the determinism criterion and the CLI verb together
+    code, out, err = acceptance._run_cli(("verify",))
+    out = out.decode()
+    assert code == 0, out + err.decode()
+    head, _, tail = out.partition("\n[")
     summary = json.loads("[" + tail)
     assert len(summary) == 10 and summary[-1]["check"] == "cli-determinism"
     for line, row in zip(head.split("\n"), summary, strict=True):
@@ -185,3 +182,76 @@ def test_cli_determinism_fails_on_one_other_field_cold(monkeypatch, in_process_t
     result = acceptance.check_cli_determinism()
     assert result.status == "FAIL" and result.measured == 1.0
     assert result.detail.endswith("; mismatched: " + " ".join(cmd))
+
+
+def test_cli_determinism_fails_on_a_timed_out_cold_run(monkeypatch, in_process_triples):
+    slow = acceptance.DETERMINISM_COMMANDS[-1]
+
+    def run(argv, **kwargs):
+        cmd = tuple(argv[3:])
+        if cmd == slow:
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+        return subprocess.CompletedProcess(argv, *in_process_triples[cmd])
+
+    monkeypatch.setattr(subprocess, "run", run)
+    result = acceptance.check_cli_determinism()
+    assert result.status == "FAIL" and result.measured == 1.0
+    assert result.detail.endswith("; mismatched: " + " ".join(slow))
+
+
+SOURCE_ROOT = str(Path(acceptance.__file__).parents[1])
+
+
+@pytest.mark.parametrize("inherited,expected", [
+    (None, SOURCE_ROOT), ("", SOURCE_ROOT), ("elsewhere", SOURCE_ROOT + os.pathsep + "elsewhere"),
+])
+def test_child_env_puts_this_powex_first(monkeypatch, inherited, expected):
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    if inherited is not None:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    assert acceptance._child_env() == {**os.environ, "PYTHONPATH": expected}
+
+
+@pytest.mark.parametrize("installed_in", [site.getsitepackages()[0], site.getusersitepackages()],
+                         ids=["site", "user_site"])
+@pytest.mark.parametrize("inherited", [None, "elsewhere"])
+def test_child_env_leaves_pythonpath_for_an_installed_copy(monkeypatch, installed_in, inherited):
+    # a PYTHONPATH entry would come before the standard library
+    monkeypatch.setattr(acceptance, "_SOURCE_ROOT", installed_in)
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    if inherited is not None:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    assert acceptance._child_env() == dict(os.environ)
+
+
+COPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from powex import acceptance
+cmd = ("norming", "--n", "1000", "--t", "2")
+acceptance.DETERMINISM_COMMANDS = (cmd,)
+result = acceptance.check_cli_determinism()
+print(acceptance.__file__)
+print(acceptance._run_in_process(cmd)[1].decode().split("\\n")[0])
+print(result.status, result.measured, result.detail)
+"""
+
+
+def test_cli_determinism_runs_the_powex_that_started_it(tmp_path):
+    # a copy of powex found through sys.path alone (no PYTHONPATH, no install,
+    # a working directory without powex in it) whose norming verb prints one
+    # more line: the cold child must import the copy, not another powex or none
+    copy = tmp_path / "copy"
+    shutil.copytree(Path(acceptance.__file__).parent, copy / "powex",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "powex" / "cli.py", "a") as source:
+        source.write("\n_norming = _cmd_norming\n"
+                     "_cmd_norming = lambda args: itertools.chain(['# copy\\n'], _norming(args))\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", COPY_PROBE, str(copy)], cwd=empty, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split("\n") == [
+        str(copy / "powex" / "acceptance.py"), "# copy",
+        "PASS 0.0 1 commands run cold and in process", ""], proc.stderr

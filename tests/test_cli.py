@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,13 +673,9 @@ class TestOutputFile:
 
     @staticmethod
     def child_env(unbuffered):
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env = acceptance._child_env()
         env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        return env
+        return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout(self, unbuffered):

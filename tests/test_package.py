@@ -1,4 +1,5 @@
-"""Package surface: lazy exports, and which commands load numpy and scipy.
+"""Package surface: lazy exports, which commands load numpy and scipy, and
+the README's API list and examples.
 
 The norming constants and the expansions are pure ``math``; a cold
 ``python -m powex`` loads numpy and scipy only for a verb that evaluates
@@ -6,9 +7,10 @@ the exact law, the normal survival function or the Monte Carlo.
 """
 from __future__ import annotations
 
+import ast
 import json
-import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +18,7 @@ from pathlib import Path
 import pytest
 
 import powex
-
-SRC = str(Path(powex.__file__).resolve().parent.parent)
+from powex import acceptance
 
 # Runs ``python -m powex ARGS...`` in this interpreter, then prints the
 # loaded module names as the last line of stdout.
@@ -33,10 +34,8 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def loaded_modules(args: list[str]) -> set[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=acceptance._child_env(), timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return set(json.loads(proc.stdout.strip().split("\n")[-1]))
 
@@ -152,10 +151,42 @@ def test_producers_build_their_record_type(produce, cls):
         assert r.floored is False and r.raw is None
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_block(after: str) -> str:
+    """The first fenced block of README.md after the text ``after``."""
+    return README[README.index(after):].split("```")[1].partition("\n")[2]
+
+
 def test_readme_public_api_is_all():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     head = "Public API (`powex.__all__`):"
-    paragraph = readme[readme.index(head) + len(head):].split("\n\n")[0]
+    paragraph = README[README.index(head) + len(head):].split("\n\n")[0]
     names = re.findall(r"`([^`]+)`", paragraph)
     assert sorted(names) == sorted(powex.__all__)
     assert len(set(names)) == len(names)
+
+
+def test_readme_quick_start_values():
+    # each expression with a `# value` comment prints that value: in full, as
+    # its repr, or rounded to the decimals shown
+    source = readme_block("## Library quick start")
+    lines = source.split("\n")
+    namespace: dict = {}
+    shown, computed = [], []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:]
+        shown.append(re.fullmatch(r"\s*#\s*(-?\d+\.\d+)\b.*", comment)[1])
+        decimals = len(shown[-1].partition(".")[2])
+        computed.append(repr(value) if decimals >= 15 else f"{value:.{decimals}f}")
+    assert len(shown) == 3 and shown == computed
+
+
+def test_readme_cli_example_bytes():
+    command, _, output = readme_block("For example:").partition("\n")
+    assert command.startswith("$ powex ")
+    assert acceptance._run_in_process(shlex.split(command)[2:]) == (0, output.encode(), b"")
