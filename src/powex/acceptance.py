@@ -209,8 +209,10 @@ _SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _child_env() -> dict[str, str]:
     """``os.environ`` with this package's parent directory first on
     ``PYTHONPATH``, so that a child imports this powex; a site directory,
-    which a child searches anyway after the standard library, is left off."""
-    env = dict(os.environ)
+    which a child searches anyway after the standard library, is left off.
+    ``PYTHONSAFEPATH`` keeps the child's working directory off ``sys.path``,
+    where a powex in it would come first; Python 3.10 ignores it."""
+    env = dict(os.environ, PYTHONSAFEPATH="1")
     if _SOURCE_ROOT not in {*site.getsitepackages(), site.getusersitepackages()}:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SOURCE_ROOT, env.get("PYTHONPATH")]))
     return env

@@ -173,7 +173,7 @@ def rate_fit(curve: ErrorCurve) -> SlopeFit:
     """OLS fit of ln|residual| against ln(b) over the usable rows.
 
     Rows at or below the noise floor are excluded and counted; at least
-    three usable rows are required.
+    three usable rows, with at least two distinct b, are required.
     """
     usable = [r for r in curve.rows if abs(r.residual) > NOISE_FLOOR]
     floored = len(curve.rows) - len(usable)
@@ -183,6 +183,8 @@ def rate_fit(curve: ErrorCurve) -> SlopeFit:
             f"({floored} floored)"
         )
     xs = [math.log(r.b) for r in usable]
+    if min(xs) == max(xs):  # n so close together that they share one b
+        raise InsufficientDataError(f"the {len(usable)} usable rows share one b")
     ys = [math.log(abs(r.residual)) for r in usable]
     m = len(xs)
     xbar = sum(xs) / m

@@ -46,22 +46,12 @@ few ulps too, so each point it settles has a computed delta below -745.13,
 where the full path adds exactly -0.0 as well. Near that zero the bound
 can pass only once n > 7e4, and every delta is below -0.25n there.
 
-The density's two terms differ in log by (n - 1)*log((1 - Phi)/Phi), which
-is delta with n - 1 for n, so the same bound at the point's own y settles
-it: where (n - 1)*(log(-y) - y) <= -746 the computed difference is below
--745.13, e^diff is exactly 0, and adding log1p(e^diff) would leave
-log Phi^(n-1) unchanged. So exact_pdf takes log_ndtr(-g) only where the
-bound fails: on every point of the perfbench law grid from n = 1e3 on it
-makes one call, next to x_min two. The exception is the subnormal band g
-in [37.5, 38.5] (beyond it log(1 - Phi) < -745.13): there y has lost its
-bits, or is 0, and the bound can pass while e^diff is a subnormal, for
-n < 2.06 only. Both log Phi^(n-1) and the full sum are then below 1e-307
-in magnitude, and they are added to a log density near -g^2/2 < -700,
-which they cannot move. No output bit moves. Where the bound fails, the
-sum is log Phi^(n-1) + log1p(e^diff), diff = (n - 1)*(log(1 - Phi) -
-log Phi): on the support log(1 - Phi) <= log Phi, so diff <= 0, and this
-is the branch numpy's logaddexp takes, with its bits (a tie adds
-log1p(1) == ln 2 exactly).
+The density adds its two terms in log as log Phi^(n-1) + log1p(e^diff),
+diff = (n - 1)*(log(1 - Phi) - log Phi), with log(1 - Phi) from a second
+log_ndtr. On the support log(1 - Phi) <= log Phi, so diff <= 0, and this is
+the branch numpy's logaddexp takes, with its bits (a tie adds log1p(1) ==
+ln 2 exactly). Where diff is below about -745.13, e^diff underflows to 0
+and the term adds +0.0.
 
 One kernel serves the scalar API, on Python floats through ``math``, and
 the array path, through numpy; both arithmetics expose the same
@@ -193,11 +183,8 @@ def exact_pdf(nc: NormingConstants, x: float) -> float:
     log_phi = float(log_ndtr(g))
     # log Phi^(n-1), as _log_cdf takes log Phi^n
     log_pair = m * log_phi if log_phi <= -_TINY else _log_cdf_subnormal(_ScalarOps, m, g)
-    # _log_cdf's bound on (n - 1)*log((1 - Phi)/Phi): at or below -746 the
-    # survival term adds nothing; above it, it is the lesser term (the
-    # module docstring)
-    if m * (_ScalarOps.log(-log_phi) - log_phi) > _DEAD_DELTA:
-        log_pair += math.log1p(math.exp(m * float(log_ndtr(-g)) - log_pair))
+    # plus (1 - Phi)^(n-1), the lesser term on the support (the module docstring)
+    log_pair += math.log1p(math.exp(m * float(log_ndtr(-g)) - log_pair))
     # g' underflows to 0 next to the boundary when t is small: log_pdf = -inf
     log_pdf = math.log(n) + _ScalarOps.log(dg_dx) - 0.5 * g * g - 0.5 * LOG_2PI + log_pair
     return math.exp(log_pdf)

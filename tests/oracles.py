@@ -135,6 +135,11 @@ def hp_gumbel_pdf(x) -> mp.mpf:
     return mp.exp(-x - mp.exp(-x))
 
 
+def rel_err(got: float, want: float) -> float:
+    """|got - want| / |want|, or |got| where want is 0."""
+    return abs(got - want) / abs(want) if want != 0.0 else abs(got)
+
+
 # ---------------------------------------------------------------------------
 # Values produced by the oracles above at 40 significant digits, rounded to
 # the nearest float64 and frozen. The library is float64, so tests compare

@@ -209,7 +209,8 @@ def test_child_env_puts_this_powex_first(monkeypatch, inherited, expected):
     monkeypatch.delenv("PYTHONPATH", raising=False)
     if inherited is not None:
         monkeypatch.setenv("PYTHONPATH", inherited)
-    assert acceptance._child_env() == {**os.environ, "PYTHONPATH": expected}
+    assert acceptance._child_env() == {**os.environ, "PYTHONPATH": expected,
+                                       "PYTHONSAFEPATH": "1"}
 
 
 @pytest.mark.parametrize("installed_in", [site.getsitepackages()[0], site.getusersitepackages()],
@@ -221,7 +222,7 @@ def test_child_env_leaves_pythonpath_for_an_installed_copy(monkeypatch, installe
     monkeypatch.delenv("PYTHONPATH", raising=False)
     if inherited is not None:
         monkeypatch.setenv("PYTHONPATH", inherited)
-    assert acceptance._child_env() == dict(os.environ)
+    assert acceptance._child_env() == {**os.environ, "PYTHONSAFEPATH": "1"}
 
 
 COPY_PROBE = """
@@ -237,10 +238,11 @@ print(result.status, result.measured, result.detail)
 """
 
 
-def test_cli_determinism_runs_the_powex_that_started_it(tmp_path):
-    # a copy of powex found through sys.path alone (no PYTHONPATH, no install,
-    # a working directory without powex in it) whose norming verb prints one
-    # more line: the cold child must import the copy, not another powex or none
+def assert_copy_probe_passes(tmp_path, cwd=None):
+    """A copy of powex found through sys.path alone (no PYTHONPATH, no
+    install) whose norming verb prints one more line, started in ``cwd`` or an
+    empty directory: the cold child must import the copy, not another powex
+    or none."""
     copy = tmp_path / "copy"
     shutil.copytree(Path(acceptance.__file__).parent, copy / "powex",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -250,8 +252,19 @@ def test_cli_determinism_runs_the_powex_that_started_it(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", COPY_PROBE, str(copy)], cwd=empty, env=env,
+    proc = subprocess.run([sys.executable, "-c", COPY_PROBE, str(copy)], cwd=cwd or empty, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.split("\n") == [
         str(copy / "powex" / "acceptance.py"), "# copy",
         "PASS 0.0 1 commands run cold and in process", ""], proc.stderr
+
+
+def test_cli_determinism_runs_the_powex_that_started_it(tmp_path):
+    assert_copy_probe_passes(tmp_path)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 ignores PYTHONSAFEPATH")
+def test_cli_determinism_ignores_a_powex_in_the_working_directory(tmp_path):
+    # python -m searches the working directory first, here the one that
+    # holds the running powex; PYTHONSAFEPATH keeps it off the child's path
+    assert_copy_probe_passes(tmp_path, cwd=SOURCE_ROOT)

@@ -482,6 +482,13 @@ class TestRatesVerb:
         assert code == 0
         assert out.strip().split("\n")[-1] == "# slope=nan,stderr=nan"
 
+    def test_one_b_grid_prints_nan(self):
+        # three n one ulp apart share one b, so the fit has no spread in ln b
+        code, out, _ = run_cli(["rates", "--t", "1", "--x", "0", "--n-grid",
+                                "1e300,1.0000000000000002e300,1.0000000000000004e300"])
+        assert code == 0
+        assert out.strip().split("\n")[-1] == "# slope=nan,stderr=nan"
+
     def test_hall_scaled_rows(self):
         grid = [1e3, 1e6, 1e9]
         code, out, _ = run_cli(["rates", "--t", "1", "--x", "0.5", "--scaling", "hall_scaled",

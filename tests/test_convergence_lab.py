@@ -6,6 +6,7 @@ import math
 import pytest
 
 import oracles
+from oracles import rel_err
 from powex import convergence_lab
 from powex import (
     ApproxOrder,
@@ -28,10 +29,6 @@ from powex import (
     solve_b,
     transformed_quantile,
 )
-
-
-def rel_err(got: float, want: float) -> float:
-    return abs(got - want) / abs(want)
 
 
 def synthetic_curve(residuals, bs) -> ErrorCurve:
@@ -147,6 +144,11 @@ class TestRateFit:
         bs = [2.0, 3.0, 4.0, 5.0]
         with pytest.raises(InsufficientDataError):
             rate_fit(synthetic_curve([1e-14, 1e-14, 1e-2, 1e-3], bs))
+
+    def test_one_b_is_insufficient_data(self):
+        # n so close together that every row has the same b: ln b has no spread
+        with pytest.raises(InsufficientDataError):
+            rate_fit(synthetic_curve([1e-2, 1e-3, 1e-4], [38.0] * 3))
 
     def test_regression_lock_default_study(self):
         curve = error_curve(1.0, 0.0, default_n_grid(), ApproxOrder.THIRD,

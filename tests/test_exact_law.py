@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtri
 
 import oracles
+from oracles import rel_err
 from powex import (
     ApproxOrder,
     DomainError,
@@ -30,10 +31,6 @@ from powex import (
 )
 from powex import exact_law
 from powex.exact_law import _ArrayOps, _ScalarOps
-
-
-def rel_err(got: float, want: float) -> float:
-    return abs(got - want) / abs(want)
 
 
 class TestExactCdf:
@@ -496,7 +493,7 @@ def band_digest(t: float, n: float) -> str:
 # scalar_digests at every (t, n) of LOCK_T x LOCK_N: (exact_pdf, records),
 # and band_digest at every (t, n) of LOCK_T x BAND_N but t = 2 at n = 2
 # (below n = 4.13 at t = 2). Frozen before the records skipped the
-# NamedTuple constructor and exact_pdf its dead survival term.
+# NamedTuple constructor.
 SCALAR_DIGESTS = {
     "0.5|10": ("221b4ebfa07433f6bfaec8f77d981cdeb1541643b446d36e219af52dc5888162",
                "642dbcf6d2d59f06860974ea6e09ecba560a68e1ddac4af3b84e1829f990b81b"),
@@ -695,28 +692,21 @@ class TestPowerShortcut:
                 assert value == 0.0
 
 
-class TestPdfShortcut:
-    """exact_pdf takes log_ndtr(-g) only where the bound on
-    (n - 1)*log((1 - Phi)/Phi) says the survival term can be alive; the
-    digests above hold its bits."""
+class TestPdfSurvivalTerm:
+    """Next to x_min, Phi(g) is near 1/2 and (1 - Phi)^(n-1) is as large as
+    Phi^(n-1): there exact_pdf follows the oracle only with both terms. From
+    n = 1.1e3 on, 2^(1-n) underflows and the density is 0 wherever the
+    survival term is material, so the n stay below that."""
 
-    @pytest.mark.parametrize("n", LOCK_N)
+    @pytest.mark.parametrize("n", [5.0, 10.0, 30.0, 100.0, 1e3])
     @pytest.mark.parametrize("t", LOCK_T)
-    def test_log_ndtr_calls(self, t, n, monkeypatch):
+    def test_next_to_x_min_against_oracle_at_same_g(self, t, n):
         nc = norming_constants(n, t)
-        calls = []
-        monkeypatch.setattr("powex.exact_law.log_ndtr", lambda g: calls.append(g) or log_ndtr(g))
-        xs = on_support(nc, LAW_GRID)
-        for x in xs:
-            exact_pdf(nc, x)
-        # one call per point on the whole grid from n = 1e3 on
-        assert (len(calls) == len(xs)) == (n >= 1e3)
-        calls.clear()
         x_min = -nc.d / nc.c
-        # two next to x_min, where Phi(g) is near 1/2
         for h in (1e-12, 1e-9, 1e-6):
-            exact_pdf(nc, x_min + h)
-        assert len(calls) == 6
+            g, dg_dx = transformed_quantile(nc, x_min + h)
+            want = float(oracles.hp_exact_pdf_at_g(n, g, dg_dx))
+            assert rel_err(exact_pdf(nc, x_min + h), want) < 2e-12
 
 
 class TestLogPhiCalls:

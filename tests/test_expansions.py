@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import rel_err
 from powex import (
     ApproxOrder,
     Density,
@@ -36,10 +37,6 @@ from powex import (
     survival,
     transformed_quantile,
 )
-
-
-def rel_err(got: float, want: float) -> float:
-    return abs(got - want) / abs(want)
 
 
 # power indices away from the t = 2 branch point (numeric differentiation in

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import rel_err
 from powex import (
     DomainError,
     exact_cdf,
@@ -18,10 +19,6 @@ from powex import (
     transformed_quantile,
 )
 from powex.cli import parse_and_dispatch
-
-
-def rel_err(got: float, want: float) -> float:
-    return abs(got - want) / abs(want)
 
 
 def norming_residual(n: float, b: float) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import rel_err
 from powex import (
     DomainError,
     Probability,
@@ -21,10 +22,6 @@ from powex import (
 
 # first omitted coefficients a_k = (2k)!/(2^k k!) for the envelope bound
 MILLS_A = [1, 1, 3, 15, 105, 945, 10395, 135135]
-
-
-def rel_err(got: float, want: float) -> float:
-    return abs(got - want) / abs(want) if want != 0.0 else abs(got)
 
 
 class TestSurvival:
